@@ -127,8 +127,11 @@ std::string table_to_json(const sim::Table& table) {
     json += r == 0 ? "\n      {" : ",\n      {";
     for (std::size_t c = 0; c < table.header().size() && c < row.size(); ++c) {
       if (c > 0) json += ", ";
-      json += "\"" + escape(table.header()[c]) + "\": \"" + escape(row[c]) +
-              "\"";
+      json += '"';
+      json += escape(table.header()[c]);
+      json += "\": \"";
+      json += escape(row[c]);
+      json += '"';
     }
     json += "}";
   }

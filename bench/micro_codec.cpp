@@ -135,15 +135,22 @@ void BM_EncodeFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeFrame)->Arg(0)->Arg(1)->Arg(2);
 
+// Arg: 0 = foreman, 1 = akiyo, 2 = garden. Each clip renders a different
+// mix of lattice cells, octaves and sprites, so each has its own cost.
 void BM_GenerateFrame(benchmark::State& state) {
-  video::SyntheticSequence seq =
-      video::make_paper_sequence(video::SequenceKind::kGardenLike);
+  constexpr video::SequenceKind kClips[] = {video::SequenceKind::kForemanLike,
+                                            video::SequenceKind::kAkiyoLike,
+                                            video::SequenceKind::kGardenLike};
+  const video::SequenceKind kind = kClips[state.range(0)];
+  video::SyntheticSequence seq = video::make_paper_sequence(kind);
   int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seq.frame_at(i++));
+    benchmark::DoNotOptimize(seq.frame_at(i));
+    i = (i + 1) % 300;
   }
+  state.SetLabel(video::sequence_kind_name(kind));
 }
-BENCHMARK(BM_GenerateFrame);
+BENCHMARK(BM_GenerateFrame)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

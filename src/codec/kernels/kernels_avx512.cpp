@@ -13,7 +13,20 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__)
 
+// GCC 12's avx512fintrin.h builds _mm512_undefined_epi32() from a
+// self-initialised `__m512i __Y = __Y;`, so every intrinsic that passes it
+// as the don't-care merge source (_mm512_cvtepi16_epi32, _mm512_abs_epi32,
+// ...) warns -W(maybe-)uninitialized once inlined here. The value is never
+// read. Silence exactly those two warnings for this header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 
 #include "codec/quant.h"
 #include "common/check.h"

@@ -1,5 +1,8 @@
 #include "video/sequence.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "video/noise.h"
@@ -159,12 +162,39 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
   Sprite sprites[4];
   for (int i = 0; i < n_sprites; ++i) sprites[i] = sprite(i, index);
 
+  // Every sample is rendered a lattice row at a time (ValueNoise::
+  // fractal_row); see DESIGN.md §2. Sprite textures are rendered over each
+  // sprite's bounding span on the row, and the per-pixel front-to-back
+  // ellipse test picks which one a pixel shows.
+  std::vector<int> bg(static_cast<std::size_t>(width_));
+  std::vector<int> tex(static_cast<std::size_t>(n_sprites) * width_);
+  int tex_lo[4] = {};
   Plane& yp = frame.y();
   for (int y = 0; y < height_; ++y) {
+    bg_noise.fractal_row(off_x, y + off_y, width_, 1, base_cell, octaves,
+                         bg.data());
+    for (int i = 0; i < n_sprites; ++i) {
+      const Sprite& s = sprites[i];
+      const int dy = y - s.cy;
+      // Inside the ellipse implies |dx| <= rx and |dy| <= ry, unless a
+      // radius is 0 (frames 16 px high): then the test degenerates to a
+      // whole row or column, so render the whole row.
+      const bool degenerate = s.rx == 0 || s.ry == 0;
+      if (!degenerate && (dy < -s.ry || dy > s.ry)) continue;
+      const int lo = degenerate ? 0 : std::max(0, s.cx - s.rx);
+      const int hi =
+          degenerate ? width_ - 1 : std::min(width_ - 1, s.cx + s.rx);
+      if (lo > hi) continue;
+      tex_lo[i] = lo;
+      // Sprite texture is sampled in sprite-local coordinates so it moves
+      // rigidly with the sprite (true motion, not boiling).
+      int* const row = tex.data() + static_cast<std::size_t>(i) * width_;
+      sprite_noise.fractal_row(lo - s.cx + s.tex_offset, dy + s.tex_offset,
+                               hi - lo + 1, 1, 16, 2, row);
+    }
+    std::uint8_t* out = yp.row(y);
     for (int x = 0; x < width_; ++x) {
-      int wx = x + off_x;
-      int wy = y + off_y;
-      int val = bg_noise.fractal(wx, wy, base_cell, octaves);
+      int val = bg[x];
       // Check sprites front-to-back (later sprites drawn on top).
       for (int i = n_sprites - 1; i >= 0; --i) {
         const Sprite& s = sprites[i];
@@ -175,11 +205,7 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
         long long lhs = dx * dx * s.ry * s.ry + dy * dy * s.rx * s.rx;
         long long rhs = static_cast<long long>(s.rx) * s.rx * s.ry * s.ry;
         if (lhs <= rhs) {
-          // Sprite texture is sampled in sprite-local coordinates so it
-          // moves rigidly with the sprite (true motion, not boiling).
-          val = sprite_noise.fractal(static_cast<int>(dx) + s.tex_offset,
-                                     static_cast<int>(dy) + s.tex_offset,
-                                     16, 2);
+          val = tex[static_cast<std::size_t>(i) * width_ + (x - tex_lo[i])];
           break;
         }
       }
@@ -195,22 +221,27 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
                   (static_cast<std::uint64_t>(y) << 20) | static_cast<std::uint64_t>(x));
         pixel += static_cast<int>(h % 5) - 2;
       }
-      yp.set(x, y, common::clamp_pixel(pixel));
+      out[x] = common::clamp_pixel(pixel);
     }
   }
 
   // Chroma: smooth fields around neutral, plus sprite tints. Sampled at
-  // half resolution directly.
+  // half resolution directly (step 2 in luma coordinates).
+  const int cw = width_ / 2;
+  std::vector<int> un(static_cast<std::size_t>(cw));
+  std::vector<int> vn(static_cast<std::size_t>(cw));
   Plane& up = frame.u();
   Plane& vp = frame.v();
   for (int cy = 0; cy < height_ / 2; ++cy) {
-    for (int cx = 0; cx < width_ / 2; ++cx) {
-      int wx = cx * 2 + off_x;
-      int wy = cy * 2 + off_y;
-      int un = chroma_noise.fractal(wx, wy, base_cell * 2, 2);
-      int vn = chroma_noise.fractal(wx + 31337, wy + 271, base_cell * 2, 2);
-      int u = 128 + (un - 128) / 4;
-      int v = 128 + (vn - 128) / 4;
+    const int wy = cy * 2 + off_y;
+    chroma_noise.fractal_row(off_x, wy, cw, 2, base_cell * 2, 2, un.data());
+    chroma_noise.fractal_row(off_x + 31337, wy + 271, cw, 2, base_cell * 2, 2,
+                             vn.data());
+    std::uint8_t* u_out = up.row(cy);
+    std::uint8_t* v_out = vp.row(cy);
+    for (int cx = 0; cx < cw; ++cx) {
+      int u = 128 + (un[cx] - 128) / 4;
+      int v = 128 + (vn[cx] - 128) / 4;
       for (int i = n_sprites - 1; i >= 0; --i) {
         const Sprite& s = sprites[i];
         long long dx = cx * 2 - s.cx;
@@ -223,8 +254,8 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
           break;
         }
       }
-      up.set(cx, cy, common::clamp_pixel(u));
-      vp.set(cx, cy, common::clamp_pixel(v));
+      u_out[cx] = common::clamp_pixel(u);
+      v_out[cx] = common::clamp_pixel(v);
     }
   }
   return frame;

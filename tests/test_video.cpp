@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "codec/sad.h"
+#include "common/rng.h"
 #include "video/frame.h"
 #include "video/metrics.h"
 #include "video/noise.h"
@@ -137,6 +140,50 @@ TEST(Noise, SpatialCorrelationWithinCell) {
   EXPECT_LT(near_diff, far_diff);
 }
 
+TEST(Noise, FractalRowMatchesPerSampleFractal) {
+  // Every (cell, octaves) the paper clips render with (luma background,
+  // sprite texture, chroma), then configurations whose octave cells shift
+  // down to 1 or to 0 (which ends the octave sum early), and the largest
+  // cell the row form accepts.
+  struct Config {
+    int base_cell;
+    int octaves;
+  };
+  const Config configs[] = {{48, 2}, {24, 3}, {10, 4}, {16, 2}, {96, 2},
+                            {20, 2}, {1, 1},  {2, 2},  {3, 3},  {5, 4},
+                            {2, 6},  {7, 6},  {ValueNoise::kMaxRowCell, 6}};
+  common::Pcg32 rng(2005, 12);
+  std::vector<int> row;
+  for (const Config& c : configs) {
+    ValueNoise noise(rng.next_u32());
+    for (int step = 1; step <= 3; ++step) {
+      for (int trial = 0; trial < 24; ++trial) {
+        // Origins on both sides of zero: foreman's jitter puts off_x < 0.
+        const int x0 = static_cast<int>(rng.next_below(1200)) - 600;
+        const int y = static_cast<int>(rng.next_below(1200)) - 600;
+        const int n = 1 + static_cast<int>(rng.next_below(200));
+        row.assign(static_cast<std::size_t>(n), -1);
+        noise.fractal_row(x0, y, n, step, c.base_cell, c.octaves, row.data());
+        for (int k = 0; k < n; ++k) {
+          ASSERT_EQ(row[k],
+                    noise.fractal(x0 + k * step, y, c.base_cell, c.octaves))
+              << "cell " << c.base_cell << " octaves " << c.octaves
+              << " step " << step << " x0 " << x0 << " y " << y << " k "
+              << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(Noise, FractalRowRejectsCellsBeyondExactDivision) {
+  ValueNoise noise(1);
+  int out[4];
+  EXPECT_DEATH(noise.fractal_row(0, 0, 4, 1, ValueNoise::kMaxRowCell + 1, 1,
+                                 out),
+               "kMaxRowCell");
+}
+
 // --- Synthetic sequences ---
 
 TEST(Sequence, FrameAtIsPure) {
@@ -230,6 +277,67 @@ TEST(Sequence, GardenPanIsTrueTranslation) {
   std::int64_t sad =
       codec::sad_16x16(f2.y(), 32, 32, f0.y(), 32 + 5, 32 + 0, ops);
   EXPECT_EQ(sad, 0);
+}
+
+// FNV-1a-64 over the Y, U and V bytes of frames [0, frames).
+std::uint64_t clip_digest(const SyntheticSequence& seq, int frames) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (int i = 0; i < frames; ++i) {
+    const YuvFrame frame = seq.frame_at(i);
+    for (const Plane* plane : {&frame.y(), &frame.u(), &frame.v()}) {
+      for (std::uint8_t byte : plane->data()) {
+        h ^= byte;
+        h *= 0x100000001B3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Golden digests pin the renderer byte for byte: every codec, energy and
+// bench figure downstream is a function of these frames. The values were
+// recorded from the original per-pixel renderer (one fractal() call per
+// sample), which the row renderer must reproduce exactly.
+TEST(Sequence, PaperClipsMatchGoldenDigests) {
+  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kForemanLike), 300),
+            0xb6870329944b75e7ULL);
+  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kAkiyoLike), 300),
+            0x5ac4080f5ec5963bULL);
+  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kGardenLike), 300),
+            0x1c40164305c93980ULL);
+}
+
+TEST(Sequence, CifClipsMatchGoldenDigests) {
+  auto cif = [](SequenceKind kind) {
+    return SyntheticSequence(kind, kCifWidth, kCifHeight, 2005);
+  };
+  EXPECT_EQ(clip_digest(cif(SequenceKind::kForemanLike), 40),
+            0x54cbadbb0b0ea91aULL);
+  EXPECT_EQ(clip_digest(cif(SequenceKind::kAkiyoLike), 40),
+            0x36d8074124bafbd5ULL);
+  EXPECT_EQ(clip_digest(cif(SequenceKind::kGardenLike), 40),
+            0xd1d4664964a680acULL);
+}
+
+TEST(Sequence, NonDefaultSeedClipsMatchGoldenDigests) {
+  auto seeded = [](SequenceKind kind) {
+    return make_paper_sequence(kind, 123456789);
+  };
+  EXPECT_EQ(clip_digest(seeded(SequenceKind::kForemanLike), 60),
+            0x27e48989539b89c8ULL);
+  EXPECT_EQ(clip_digest(seeded(SequenceKind::kAkiyoLike), 60),
+            0xbb2b42445eec4d15ULL);
+  EXPECT_EQ(clip_digest(seeded(SequenceKind::kGardenLike), 60),
+            0x35a80f66e228945aULL);
+}
+
+TEST(Sequence, SixteenPixelHighClipMatchesGoldenDigest) {
+  // At height 16 akiyo's mouth sprite has ry == 0, so its ellipse test
+  // accepts a whole row rather than a bounded span.
+  EXPECT_EQ(clip_digest(SyntheticSequence(SequenceKind::kAkiyoLike, 176, 16,
+                                          2005),
+                        20),
+            0xc550ff0bba1fd512ULL);
 }
 
 TEST(YuvIo, WriteReadRoundTrip) {
