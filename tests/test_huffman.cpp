@@ -103,11 +103,18 @@ TEST(CoeffVlc, TableIsPrefixFree) {
   EXPECT_TRUE(coeff_vlc().table().is_prefix_free());
 }
 
+// gtest prints a CoeffCase as its 12 raw bytes and CTest names each case by
+// that print, so the three bytes after `last` are an explicit member: left as
+// implicit padding they held whatever the stack did, and the case names
+// changed from build to build. The pad values are the bytes the cases were
+// first registered under; the codec never sees them.
 struct CoeffCase {
   bool last;
+  unsigned char pad[3];
   int run;
   int level;
 };
+static_assert(sizeof(CoeffCase) == 12, "CoeffCase must have no implicit padding");
 
 class CoeffVlcRoundTrip : public ::testing::TestWithParam<CoeffCase> {};
 
@@ -126,13 +133,19 @@ TEST_P(CoeffVlcRoundTrip, EncodesAndDecodes) {
 
 INSTANTIATE_TEST_SUITE_P(
     TableAndEscape, CoeffVlcRoundTrip,
-    ::testing::Values(CoeffCase{false, 0, 1}, CoeffCase{false, 0, -1},
-                      CoeffCase{true, 0, 1}, CoeffCase{false, 5, 2},
-                      CoeffCase{true, 10, 3}, CoeffCase{false, 10, -3},
+    ::testing::Values(CoeffCase{false, {0x62, 0x3B, 0x90}, 0, 1},
+                      CoeffCase{false, {0xFF, 0xFF, 0xFF}, 0, -1},
+                      CoeffCase{true, {0x27, 0x3B, 0x90}, 0, 1},
+                      CoeffCase{false, {0x7F, 0x00, 0x00}, 5, 2},
+                      CoeffCase{true, {0x00, 0x00, 0x00}, 10, 3},
+                      CoeffCase{false, {0x7F, 0x00, 0x00}, 10, -3},
                       // escape cases: run or |level| beyond the table
-                      CoeffCase{false, 11, 1}, CoeffCase{true, 30, 1},
-                      CoeffCase{false, 0, 4}, CoeffCase{true, 0, -90},
-                      CoeffCase{false, 62, 127}, CoeffCase{true, 62, -127}));
+                      CoeffCase{false, {0xE0, 0x17, 0x2E}, 11, 1},
+                      CoeffCase{true, {0x7F, 0x00, 0x00}, 30, 1},
+                      CoeffCase{false, {0x00, 0x00, 0x00}, 0, 4},
+                      CoeffCase{true, {0xFF, 0xFF, 0xFF}, 0, -90},
+                      CoeffCase{false, {0x25, 0x3B, 0x90}, 62, 127},
+                      CoeffCase{true, {0x7F, 0x00, 0x00}, 62, -127}));
 
 TEST(CoeffVlc, AllTableEventsRoundTrip) {
   for (int last = 0; last <= 1; ++last) {
