@@ -143,8 +143,8 @@ int main() {
     c.encoder.deblocking = deblocking;
     // The filter must match on both sides (lockstep), so run the codec
     // loop directly instead of through the pipeline's default decoder.
-    const auto& clip =
-        bench::cached_clip(video::SequenceKind::kForemanLike, n);
+    const video::SyntheticSequence seq =
+        video::make_paper_sequence(video::SequenceKind::kForemanLike);
     codec::NoRefreshPolicy policy;
     codec::Encoder encoder(c.encoder, &policy);
     codec::DecoderConfig dc;
@@ -153,11 +153,12 @@ int main() {
     std::uint64_t bytes = 0;
     double psnr = 0, ssim = 0;
     for (int i = 0; i < n; ++i) {
-      codec::EncodedFrame f = encoder.encode_frame(clip[i]);
+      const video::YuvFrame frame = seq.frame_at(i);
+      codec::EncodedFrame f = encoder.encode_frame(frame);
       bytes += f.size_bytes();
       const video::YuvFrame& d = decoder.decode_frame(f);
-      psnr += video::psnr_luma(clip[i], d);
-      ssim += video::ssim_luma(clip[i], d);
+      psnr += video::psnr_luma(frame, d);
+      ssim += video::ssim_luma(frame, d);
     }
     t5.add_row({deblocking ? "on" : "off", sim::format("%.2f", psnr / n),
                 sim::format("%.4f", ssim / n),

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,29 +17,16 @@ int bench_frames() {
   return 300;
 }
 
-const std::vector<video::YuvFrame>& cached_clip(video::SequenceKind kind,
-                                                int frames) {
-  // Sweep tasks resolve their clips concurrently; the mutex makes the
-  // lazy fill safe. Returned references stay valid (values are never
-  // erased, and node-based map inserts don't move existing values).
-  static std::mutex mutex;
-  static std::map<std::pair<int, int>, std::vector<video::YuvFrame>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto key = std::make_pair(static_cast<int>(kind), frames);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    video::SyntheticSequence seq = video::make_paper_sequence(kind);
-    std::vector<video::YuvFrame> clip;
-    clip.reserve(static_cast<std::size_t>(frames));
-    for (int i = 0; i < frames; ++i) clip.push_back(seq.frame_at(i));
-    it = cache.emplace(key, std::move(clip)).first;
-  }
-  return it->second;
+sim::FrameSource clip_source(video::SequenceKind kind) {
+  const video::SyntheticSequence seq = video::make_paper_sequence(kind);
+  return [seq](int i) { return seq.frame_at(i); };
 }
 
-sim::FrameSource clip_source(video::SequenceKind kind, int frames) {
-  const std::vector<video::YuvFrame>& clip = cached_clip(kind, frames);
-  return [&clip](int i) { return clip[static_cast<std::size_t>(i)]; };
+void warm_paper_clips(int frames) {
+  for (video::SequenceKind kind : kPaperClips) {
+    const video::SyntheticSequence seq = video::make_paper_sequence(kind);
+    for (int i = 0; i < frames; ++i) seq.frame_at(i);
+  }
 }
 
 sim::PipelineConfig paper_pipeline_config(int frames) {
@@ -64,7 +49,7 @@ double calibrate_pbpair_to_size(video::SequenceKind kind,
   const auto scaled_target =
       static_cast<std::uint64_t>(static_cast<double>(target_bytes) * scale);
   sim::PipelineConfig config = paper_pipeline_config(frames);
-  sim::FrameSource source = clip_source(kind, bench_frames());
+  sim::FrameSource source = clip_source(kind);
 
   core::PbpairConfig pbpair;
   pbpair.plr = plr;
@@ -170,8 +155,7 @@ sim::PipelineResult run_clip(video::SequenceKind kind,
                              const sim::SchemeSpec& scheme,
                              net::LossModel* loss,
                              const sim::PipelineConfig& config) {
-  return sim::run_pipeline(clip_source(kind, config.frames), scheme, loss,
-                           config);
+  return sim::run_pipeline(clip_source(kind), scheme, loss, config);
 }
 
 sim::SweepTask clip_task(
@@ -181,7 +165,7 @@ sim::SweepTask clip_task(
   sim::SweepTask task;
   task.scheme = scheme;
   task.config = config;
-  task.source = clip_source(kind, config.frames);
+  task.source = clip_source(kind);
   task.make_loss = std::move(make_loss);
   return task;
 }

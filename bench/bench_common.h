@@ -26,12 +26,13 @@ namespace pbpair::bench {
 /// PBPAIR_BENCH_FRAMES environment variable overrides it.
 int bench_frames();
 
-/// Frames of one synthetic clip, generated once and cached for the process.
-const std::vector<video::YuvFrame>& cached_clip(video::SequenceKind kind,
-                                                int frames);
+/// FrameSource over a paper clip. Frames come from the process-wide frame
+/// cache behind SyntheticSequence::frame_at, so each renders once.
+sim::FrameSource clip_source(video::SequenceKind kind);
 
-/// FrameSource over the cached clip.
-sim::FrameSource clip_source(video::SequenceKind kind, int frames);
+/// Renders frames [0, frames) of the three paper clips into that cache, so
+/// timed runs that follow measure the codec path, not synthesis.
+void warm_paper_clips(int frames);
 
 /// The paper's encoder/pipeline setup.
 sim::PipelineConfig paper_pipeline_config(int frames);
@@ -42,13 +43,13 @@ sim::PipelineConfig paper_pipeline_config(int frames);
 double calibrate_pbpair_to_size(video::SequenceKind kind,
                                 std::uint64_t target_bytes, double plr);
 
-/// Runs the pipeline over a cached clip.
+/// Runs the pipeline over a paper clip.
 sim::PipelineResult run_clip(video::SequenceKind kind,
                              const sim::SchemeSpec& scheme,
                              net::LossModel* loss,
                              const sim::PipelineConfig& config);
 
-/// A sim::SweepTask over a cached clip, for run_parallel_sweep. The loss
+/// A sim::SweepTask over a paper clip, for run_parallel_sweep. The loss
 /// factory may be null (lossless channel); when set, it is invoked inside
 /// the worker so every task gets its own deterministically seeded model.
 sim::SweepTask clip_task(

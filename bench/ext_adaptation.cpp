@@ -106,7 +106,7 @@ int main() {
   // --- Scenario 2: energy budget --------------------------------------
   std::printf("\n--- scenario 2: residual-energy budget "
               "(max resilience within budget, true metered feedback) ---\n");
-  const std::vector<video::YuvFrame>& clip = bench::cached_clip(kind, frames);
+  const video::SyntheticSequence seq = video::make_paper_sequence(kind);
   const energy::DeviceProfile& profile = energy::ipaq_h5555();
   sim::PipelineConfig pconfig = bench::paper_pipeline_config(frames);
 
@@ -134,7 +134,7 @@ int main() {
         controller.on_energy_update(spent, i);
         policy.set_intra_th(controller.intra_th());
       }
-      codec::EncodedFrame f = encoder.encode_frame(clip[i]);
+      codec::EncodedFrame f = encoder.encode_frame(seq.frame_at(i));
       intra += static_cast<std::uint64_t>(f.intra_mb_count());
     }
     *final_th = adapt ? controller.intra_th() : 0.80;

@@ -72,7 +72,7 @@ std::vector<sim::SessionSpec> make_specs(int sessions, int frames) {
     // Health tracking on, like `pbpair serve`: the bench then measures the
     // serving path with its real telemetry cost included.
     spec.config.health = obs::HealthConfig{};
-    spec.source = bench::clip_source(kind, frames);
+    spec.source = bench::clip_source(kind);
     const std::uint64_t seed = 2005 + static_cast<std::uint64_t>(i);
     spec.make_loss = [seed] {
       return std::make_unique<net::UniformFrameLoss>(0.10, seed);
@@ -114,10 +114,9 @@ int main() {
       "=== Multi-session serving (base %d frames/session, %d shards, "
       "slice %d) ===\n\n",
       base_frames, threads, slice);
-  for (int n : counts) {
-    bench::cached_clip(bench::kPaperClips[(n - 1) % 3],
-                       frames_for(n, base_frames));
-  }
+  // Every point then times serving from rendered frames, like the
+  // committed baseline; without it the first points pay for synthesis.
+  bench::warm_paper_clips(base_frames);
 
   sim::Table table({"sessions", "frames", "shards", "wall_ms",
                     "frames_per_sec", "sessions_per_sec", "p50_ms", "p99_ms",

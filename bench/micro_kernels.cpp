@@ -352,9 +352,7 @@ int main() {
   // Sweep timing: a reduced fig5 grid (48 frames unless overridden).
   const int frames = std::min(bench::bench_frames(), 48);
   const sim::PipelineConfig config = bench::paper_pipeline_config(frames);
-  bench::cached_clip(bench::kPaperClips[0], frames);  // warm clip cache
-  bench::cached_clip(bench::kPaperClips[1], frames);
-  bench::cached_clip(bench::kPaperClips[2], frames);
+  bench::warm_paper_clips(frames);
 
   const int pool_threads = 8;
   std::printf("\n=== Fig 5-style sweep (3 clips x 5 schemes, %d frames) ===\n",

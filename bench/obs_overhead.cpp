@@ -121,8 +121,8 @@ double run_sessions(int threads, int frames, const char* tag) {
     spec.scheme = sim::SchemeSpec::pbpair(pbpair);
     spec.config = bench::paper_pipeline_config(frames);
     spec.config.health = obs::HealthConfig{};
-    spec.source = bench::clip_source(
-        bench::kPaperClips[static_cast<std::size_t>(i) % 3], frames);
+    spec.source =
+        bench::clip_source(bench::kPaperClips[static_cast<std::size_t>(i) % 3]);
     spec.label = sim::format("%s%02d", tag, i);
     const std::uint64_t seed = 2005 + static_cast<std::uint64_t>(i);
     spec.make_loss = [seed] {
@@ -172,10 +172,8 @@ int main() {
       "(%d QCIF frames, %d sessions) ===\n\n",
       frames, kPipelineSessions);
 
-  // Warm the clip caches so pipeline off/on runs time codec work only.
-  for (video::SequenceKind kind : bench::kPaperClips) {
-    bench::cached_clip(kind, frames);
-  }
+  // Pipeline off/on runs then time codec work only.
+  bench::warm_paper_clips(frames);
 
   std::vector<BumpRow> bump_rows;
   for (int threads : kThreadCounts) {

@@ -1,6 +1,11 @@
 #include "video/sequence.h"
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "common/math_util.h"
@@ -40,7 +45,66 @@ std::uint64_t hash2(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
   return mixer.next();
 }
 
+// Frame pixel bytes held by every FrameCache together, including budget
+// claimed by a frame that is about to be published.
+std::atomic<std::size_t> g_cached_bytes{0};
+
+// Claims `bytes` of kFrameCacheBudgetBytes; false if they do not fit.
+bool claim_budget(std::size_t bytes) {
+  std::size_t used = g_cached_bytes.load(std::memory_order_relaxed);
+  do {
+    if (used + bytes > kFrameCacheBudgetBytes) return false;
+  } while (!g_cached_bytes.compare_exchange_weak(used, used + bytes,
+                                                 std::memory_order_relaxed));
+  return true;
+}
+
 }  // namespace
+
+// One clip: its key (kind, width, height, seed) and the cached frames,
+// shared by every sequence with that key (DESIGN.md §2). Clips are interned
+// for the process and never freed, and each slot goes from null to a frame
+// at most once, so a published frame stays valid while readers copy it out
+// without a lock.
+struct SyntheticSequence::FrameCache {
+  FrameCache(SequenceKind kind_in, int width_in, int height_in,
+             std::uint64_t seed_in)
+      : kind(kind_in),
+        width(width_in),
+        height(height_in),
+        seed(seed_in),
+        frame_bytes(static_cast<std::size_t>(width) * height * 3 / 2),
+        slot_count(kFrameCacheBudgetBytes / frame_bytes),
+        slots(new std::atomic<const YuvFrame*>[slot_count]()) {}
+  ~FrameCache() {
+    for (std::size_t i = 0; i < slot_count; ++i) delete slots[i].load();
+  }
+
+  static FrameCache* intern(SequenceKind kind, int width, int height,
+                            std::uint64_t seed) {
+    using Key = std::tuple<SequenceKind, int, int, std::uint64_t>;
+    static std::mutex mutex;
+    static auto* caches =  // never destroyed
+        new std::map<Key, std::unique_ptr<FrameCache>>();
+    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<FrameCache>& cache =
+        (*caches)[{kind, width, height, seed}];
+    if (cache == nullptr) {
+      cache = std::make_unique<FrameCache>(kind, width, height, seed);
+    }
+    return cache.get();
+  }
+
+  const SequenceKind kind;
+  const int width;
+  const int height;
+  const std::uint64_t seed;
+  const std::size_t frame_bytes;
+  // No clip can cache more frames than the whole budget holds.
+  const std::size_t slot_count;
+  const std::unique_ptr<std::atomic<const YuvFrame*>[]> slots;
+  std::atomic<int> frames{0};
+};
 
 const char* sequence_kind_name(SequenceKind kind) {
   switch (kind) {
@@ -52,14 +116,54 @@ const char* sequence_kind_name(SequenceKind kind) {
 }
 
 SyntheticSequence::SyntheticSequence(SequenceKind kind, int width, int height,
-                                     std::uint64_t seed)
-    : kind_(kind), width_(width), height_(height), seed_(seed) {
-  PB_CHECK(width % 16 == 0 && height % 16 == 0);
+                                     std::uint64_t seed) {
+  PB_CHECK(width > 0 && height > 0 && width % 16 == 0 && height % 16 == 0);
+  cache_ = FrameCache::intern(kind, width, height, seed);
+}
+
+int SyntheticSequence::width() const { return cache_->width; }
+int SyntheticSequence::height() const { return cache_->height; }
+SequenceKind SyntheticSequence::kind() const { return cache_->kind; }
+
+YuvFrame SyntheticSequence::frame_at(int index) const {
+  PB_CHECK(index >= 0);
+  if (static_cast<std::size_t>(index) >= cache_->slot_count) {
+    return render(index);
+  }
+  std::atomic<const YuvFrame*>& slot = cache_->slots[index];
+  if (const YuvFrame* cached = slot.load(std::memory_order_acquire)) {
+    return *cached;
+  }
+  YuvFrame frame = render(index);
+  if (slot.load(std::memory_order_relaxed) == nullptr &&
+      claim_budget(cache_->frame_bytes)) {
+    auto owned = std::make_unique<YuvFrame>(frame);
+    const YuvFrame* empty = nullptr;
+    if (slot.compare_exchange_strong(empty, owned.get(),
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed)) {
+      owned.release();
+      cache_->frames.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // Another thread published first; its frame is byte-identical.
+      g_cached_bytes.fetch_sub(cache_->frame_bytes,
+                               std::memory_order_relaxed);
+    }
+  }
+  return frame;
+}
+
+int SyntheticSequence::cached_frames() const {
+  return cache_->frames.load(std::memory_order_relaxed);
+}
+
+std::size_t SyntheticSequence::cached_bytes() {
+  return g_cached_bytes.load(std::memory_order_relaxed);
 }
 
 void SyntheticSequence::global_offset(int index, int* off_x,
                                       int* off_y) const {
-  switch (kind_) {
+  switch (cache_->kind) {
     case SequenceKind::kAkiyoLike:
       // Tripod camera: perfectly static background.
       *off_x = 0;
@@ -72,7 +176,7 @@ void SyntheticSequence::global_offset(int index, int* off_x,
       // Sum the last 6 per-frame steps; older steps are forgotten, which
       // bounds the walk while keeping frame-to-frame deltas of 0..1 px.
       for (int k = index > 6 ? index - 6 : 0; k < index; ++k) {
-        std::uint64_t h = hash2(seed_, 0xF0F0, static_cast<std::uint64_t>(k));
+        std::uint64_t h = hash2(cache_->seed, 0xF0F0, static_cast<std::uint64_t>(k));
         wx += static_cast<int>(h % 3) - 1;
         wy += static_cast<int>((h >> 8) % 3) - 1;
       }
@@ -92,7 +196,7 @@ void SyntheticSequence::global_offset(int index, int* off_x,
 }
 
 int SyntheticSequence::sprite_count() const {
-  switch (kind_) {
+  switch (cache_->kind) {
     case SequenceKind::kAkiyoLike: return 2;   // head + mouth region
     case SequenceKind::kForemanLike: return 2; // face + helmet
     case SequenceKind::kGardenLike: return 0;  // pure global motion
@@ -103,9 +207,9 @@ int SyntheticSequence::sprite_count() const {
 SyntheticSequence::Sprite SyntheticSequence::sprite(int which,
                                                     int index) const {
   Sprite s{};
-  const int w = width_;
-  const int h = height_;
-  if (kind_ == SequenceKind::kAkiyoLike) {
+  const int w = cache_->width;
+  const int h = cache_->height;
+  if (cache_->kind == SequenceKind::kAkiyoLike) {
     if (which == 0) {
       // Head: large ellipse, very small sway (~2 px over ~60 frames).
       s = Sprite{w / 2, h * 2 / 5, w / 6, h / 4, 2,    1,   64, 0,
@@ -132,12 +236,16 @@ SyntheticSequence::Sprite SyntheticSequence::sprite(int which,
   return s;
 }
 
-YuvFrame SyntheticSequence::frame_at(int index) const {
+YuvFrame SyntheticSequence::render(int index) const {
   PB_CHECK(index >= 0);
-  YuvFrame frame(width_, height_);
-  ValueNoise bg_noise(seed_ ^ 0xA11CE);
-  ValueNoise sprite_noise(seed_ ^ 0xB0B);
-  ValueNoise chroma_noise(seed_ ^ 0xCAFE);
+  const SequenceKind kind = cache_->kind;
+  const int width = cache_->width;
+  const int height = cache_->height;
+  const std::uint64_t seed = cache_->seed;
+  YuvFrame frame(width, height);
+  ValueNoise bg_noise(seed ^ 0xA11CE);
+  ValueNoise sprite_noise(seed ^ 0xB0B);
+  ValueNoise chroma_noise(seed ^ 0xCAFE);
 
   int off_x = 0, off_y = 0;
   global_offset(index, &off_x, &off_y);
@@ -145,7 +253,7 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
   // Background detail per kind: garden has fine texture (small cells, more
   // octaves) so panning generates large SADs; akiyo is smooth.
   int base_cell, octaves, dyn_lo, dyn_hi;
-  switch (kind_) {
+  switch (kind) {
     case SequenceKind::kAkiyoLike:
       base_cell = 48; octaves = 2; dyn_lo = 70; dyn_hi = 190;
       break;
@@ -166,12 +274,12 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
   // fractal_row); see DESIGN.md §2. Sprite textures are rendered over each
   // sprite's bounding span on the row, and the per-pixel front-to-back
   // ellipse test picks which one a pixel shows.
-  std::vector<int> bg(static_cast<std::size_t>(width_));
-  std::vector<int> tex(static_cast<std::size_t>(n_sprites) * width_);
+  std::vector<int> bg(static_cast<std::size_t>(width));
+  std::vector<int> tex(static_cast<std::size_t>(n_sprites) * width);
   int tex_lo[4] = {};
   Plane& yp = frame.y();
-  for (int y = 0; y < height_; ++y) {
-    bg_noise.fractal_row(off_x, y + off_y, width_, 1, base_cell, octaves,
+  for (int y = 0; y < height; ++y) {
+    bg_noise.fractal_row(off_x, y + off_y, width, 1, base_cell, octaves,
                          bg.data());
     for (int i = 0; i < n_sprites; ++i) {
       const Sprite& s = sprites[i];
@@ -183,17 +291,17 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
       if (!degenerate && (dy < -s.ry || dy > s.ry)) continue;
       const int lo = degenerate ? 0 : std::max(0, s.cx - s.rx);
       const int hi =
-          degenerate ? width_ - 1 : std::min(width_ - 1, s.cx + s.rx);
+          degenerate ? width - 1 : std::min(width - 1, s.cx + s.rx);
       if (lo > hi) continue;
       tex_lo[i] = lo;
       // Sprite texture is sampled in sprite-local coordinates so it moves
       // rigidly with the sprite (true motion, not boiling).
-      int* const row = tex.data() + static_cast<std::size_t>(i) * width_;
+      int* const row = tex.data() + static_cast<std::size_t>(i) * width;
       sprite_noise.fractal_row(lo - s.cx + s.tex_offset, dy + s.tex_offset,
                                hi - lo + 1, 1, 16, 2, row);
     }
     std::uint8_t* out = yp.row(y);
-    for (int x = 0; x < width_; ++x) {
+    for (int x = 0; x < width; ++x) {
       int val = bg[x];
       // Check sprites front-to-back (later sprites drawn on top).
       for (int i = n_sprites - 1; i >= 0; --i) {
@@ -205,19 +313,19 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
         long long lhs = dx * dx * s.ry * s.ry + dy * dy * s.rx * s.rx;
         long long rhs = static_cast<long long>(s.rx) * s.rx * s.ry * s.ry;
         if (lhs <= rhs) {
-          val = tex[static_cast<std::size_t>(i) * width_ + (x - tex_lo[i])];
+          val = tex[static_cast<std::size_t>(i) * width + (x - tex_lo[i])];
           break;
         }
       }
       int pixel = dyn_lo + (val * (dyn_hi - dyn_lo)) / 255;
-      if (kind_ == SequenceKind::kAkiyoLike) {
+      if (kind == SequenceKind::kAkiyoLike) {
         // Studio sensor noise, +/-2 gray levels, varying per frame. Real
         // AKIYO has this; without it the background is mathematically
         // static, copy concealment is *perfect*, and no rational refresh
         // scheme would ever spend bits there (see DESIGN.md §2). The noise
         // is below the encoder's dead zone, so bitrate stays "akiyo-low".
         std::uint64_t h =
-            hash2(seed_ ^ 0x5E4503, static_cast<std::uint64_t>(index),
+            hash2(seed ^ 0x5E4503, static_cast<std::uint64_t>(index),
                   (static_cast<std::uint64_t>(y) << 20) | static_cast<std::uint64_t>(x));
         pixel += static_cast<int>(h % 5) - 2;
       }
@@ -227,12 +335,12 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
 
   // Chroma: smooth fields around neutral, plus sprite tints. Sampled at
   // half resolution directly (step 2 in luma coordinates).
-  const int cw = width_ / 2;
+  const int cw = width / 2;
   std::vector<int> un(static_cast<std::size_t>(cw));
   std::vector<int> vn(static_cast<std::size_t>(cw));
   Plane& up = frame.u();
   Plane& vp = frame.v();
-  for (int cy = 0; cy < height_ / 2; ++cy) {
+  for (int cy = 0; cy < height / 2; ++cy) {
     const int wy = cy * 2 + off_y;
     chroma_noise.fractal_row(off_x, wy, cw, 2, base_cell * 2, 2, un.data());
     chroma_noise.fractal_row(off_x + 31337, wy + 271, cw, 2, base_cell * 2, 2,

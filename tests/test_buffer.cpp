@@ -2,6 +2,7 @@
 // copy-on-write, slab recycling, the copy ledger, and thread safety.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -136,8 +137,11 @@ TEST(BufferRef, AppendDisjointAllocationsConcatenates) {
   BufferRef a = arena.copy(first.data(), first.size());
   BufferRef b = arena.copy(second.data(), second.size());
   a.append(b);
-  std::vector<std::uint8_t> expected = first;
-  expected.insert(expected.end(), second.begin(), second.end());
+  // Sized up front and filled by copies: growing a copy of `first` (insert
+  // or resize) draws a false -Warray-bounds from GCC 12 at -O3 -march=native.
+  std::vector<std::uint8_t> expected(first.size() + second.size());
+  std::copy(second.begin(), second.end(),
+            std::copy(first.begin(), first.end(), expected.begin()));
   EXPECT_EQ(a, expected);
   EXPECT_EQ(b, second);  // the source is untouched
 }

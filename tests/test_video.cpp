@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "codec/sad.h"
@@ -279,11 +280,13 @@ TEST(Sequence, GardenPanIsTrueTranslation) {
   EXPECT_EQ(sad, 0);
 }
 
-// FNV-1a-64 over the Y, U and V bytes of frames [0, frames).
-std::uint64_t clip_digest(const SyntheticSequence& seq, int frames) {
+// FNV-1a-64 over the Y, U and V bytes of frames [0, frames), each produced
+// by `get` (SyntheticSequence::render or ::frame_at).
+std::uint64_t clip_digest(const SyntheticSequence& seq, int frames,
+                          YuvFrame (SyntheticSequence::*get)(int) const) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (int i = 0; i < frames; ++i) {
-    const YuvFrame frame = seq.frame_at(i);
+    const YuvFrame frame = (seq.*get)(i);
     for (const Plane* plane : {&frame.y(), &frame.u(), &frame.v()}) {
       for (std::uint8_t byte : plane->data()) {
         h ^= byte;
@@ -294,50 +297,60 @@ std::uint64_t clip_digest(const SyntheticSequence& seq, int frames) {
   return h;
 }
 
+// Digests the clip three ways: the uncached renderer, a first frame_at pass
+// that renders and caches (cold: ctest runs each test in its own process)
+// and a second pass that copies every frame out of the cache (warm).
+void expect_clip_digest(const SyntheticSequence& seq, int frames,
+                        std::uint64_t golden) {
+  EXPECT_EQ(clip_digest(seq, frames, &SyntheticSequence::render), golden)
+      << "render";
+  EXPECT_EQ(clip_digest(seq, frames, &SyntheticSequence::frame_at), golden)
+      << "cold frame_at";
+  EXPECT_EQ(clip_digest(seq, frames, &SyntheticSequence::frame_at), golden)
+      << "warm frame_at";
+}
+
 // Golden digests pin the renderer byte for byte: every codec, energy and
 // bench figure downstream is a function of these frames. The values were
 // recorded from the original per-pixel renderer (one fractal() call per
 // sample), which the row renderer must reproduce exactly.
 TEST(Sequence, PaperClipsMatchGoldenDigests) {
-  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kForemanLike), 300),
-            0xb6870329944b75e7ULL);
-  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kAkiyoLike), 300),
-            0x5ac4080f5ec5963bULL);
-  EXPECT_EQ(clip_digest(make_paper_sequence(SequenceKind::kGardenLike), 300),
-            0x1c40164305c93980ULL);
+  expect_clip_digest(make_paper_sequence(SequenceKind::kForemanLike), 300,
+                     0xb6870329944b75e7ULL);
+  expect_clip_digest(make_paper_sequence(SequenceKind::kAkiyoLike), 300,
+                     0x5ac4080f5ec5963bULL);
+  expect_clip_digest(make_paper_sequence(SequenceKind::kGardenLike), 300,
+                     0x1c40164305c93980ULL);
 }
 
 TEST(Sequence, CifClipsMatchGoldenDigests) {
   auto cif = [](SequenceKind kind) {
     return SyntheticSequence(kind, kCifWidth, kCifHeight, 2005);
   };
-  EXPECT_EQ(clip_digest(cif(SequenceKind::kForemanLike), 40),
-            0x54cbadbb0b0ea91aULL);
-  EXPECT_EQ(clip_digest(cif(SequenceKind::kAkiyoLike), 40),
-            0x36d8074124bafbd5ULL);
-  EXPECT_EQ(clip_digest(cif(SequenceKind::kGardenLike), 40),
-            0xd1d4664964a680acULL);
+  expect_clip_digest(cif(SequenceKind::kForemanLike), 40,
+                     0x54cbadbb0b0ea91aULL);
+  expect_clip_digest(cif(SequenceKind::kAkiyoLike), 40, 0x36d8074124bafbd5ULL);
+  expect_clip_digest(cif(SequenceKind::kGardenLike), 40,
+                     0xd1d4664964a680acULL);
 }
 
 TEST(Sequence, NonDefaultSeedClipsMatchGoldenDigests) {
   auto seeded = [](SequenceKind kind) {
     return make_paper_sequence(kind, 123456789);
   };
-  EXPECT_EQ(clip_digest(seeded(SequenceKind::kForemanLike), 60),
-            0x27e48989539b89c8ULL);
-  EXPECT_EQ(clip_digest(seeded(SequenceKind::kAkiyoLike), 60),
-            0xbb2b42445eec4d15ULL);
-  EXPECT_EQ(clip_digest(seeded(SequenceKind::kGardenLike), 60),
-            0x35a80f66e228945aULL);
+  expect_clip_digest(seeded(SequenceKind::kForemanLike), 60,
+                     0x27e48989539b89c8ULL);
+  expect_clip_digest(seeded(SequenceKind::kAkiyoLike), 60,
+                     0xbb2b42445eec4d15ULL);
+  expect_clip_digest(seeded(SequenceKind::kGardenLike), 60,
+                     0x35a80f66e228945aULL);
 }
 
 TEST(Sequence, SixteenPixelHighClipMatchesGoldenDigest) {
   // At height 16 akiyo's mouth sprite has ry == 0, so its ellipse test
   // accepts a whole row rather than a bounded span.
-  EXPECT_EQ(clip_digest(SyntheticSequence(SequenceKind::kAkiyoLike, 176, 16,
-                                          2005),
-                        20),
-            0xc550ff0bba1fd512ULL);
+  expect_clip_digest(SyntheticSequence(SequenceKind::kAkiyoLike, 176, 16, 2005),
+                     20, 0xc550ff0bba1fd512ULL);
 }
 
 TEST(YuvIo, WriteReadRoundTrip) {
@@ -378,6 +391,119 @@ TEST(YuvIo, TruncatedFileDropsPartialFrame) {
   std::fclose(f);
   EXPECT_EQ(read_yuv_file(path, 176, 144).size(), 1u);
   std::remove(path.c_str());
+}
+
+// --- Frame cache (DESIGN.md §2) ---
+// Each test uses seeds no other test renders, so its caches start empty.
+
+TEST(FrameCache, CopiesAndEqualSequencesShareOneCache) {
+  const std::uint64_t seed = 0xCAC4E;
+  const SyntheticSequence seq =
+      make_paper_sequence(SequenceKind::kForemanLike, seed);
+  const SyntheticSequence copy = seq;
+  const std::size_t bytes_before = SyntheticSequence::cached_bytes();
+  EXPECT_EQ(seq.cached_frames(), 0);
+  EXPECT_EQ(copy.frame_at(5), seq.render(5));
+  EXPECT_EQ(seq.cached_frames(), 1);
+  EXPECT_EQ(SyntheticSequence::cached_bytes() - bytes_before,
+            std::size_t{kQcifWidth * kQcifHeight * 3 / 2});
+
+  // Built independently from the same key: same cache, so a hit.
+  const SyntheticSequence equal(SequenceKind::kForemanLike, kQcifWidth,
+                                kQcifHeight, seed);
+  EXPECT_EQ(equal.cached_frames(), 1);
+  EXPECT_EQ(equal.frame_at(5), seq.render(5));
+  EXPECT_EQ(seq.cached_frames(), 1);
+  EXPECT_EQ(SyntheticSequence::cached_bytes() - bytes_before,
+            std::size_t{kQcifWidth * kQcifHeight * 3 / 2});
+
+  // Every other part of the key selects a cache of its own.
+  EXPECT_EQ(make_paper_sequence(SequenceKind::kAkiyoLike, seed).cached_frames(),
+            0);
+  EXPECT_EQ(
+      make_paper_sequence(SequenceKind::kForemanLike, seed + 1).cached_frames(),
+      0);
+  EXPECT_EQ(SyntheticSequence(SequenceKind::kForemanLike, kCifWidth,
+                              kQcifHeight, seed)
+                .cached_frames(),
+            0);
+  EXPECT_EQ(SyntheticSequence(SequenceKind::kForemanLike, kQcifWidth,
+                              kCifHeight, seed)
+                .cached_frames(),
+            0);
+}
+
+TEST(FrameCache, ConcurrentFrameAtMatchesRender) {
+  constexpr int kThreads = 8;
+  constexpr int kFrames = 24;
+  const std::uint64_t seed = 0xC0C0A;
+  std::vector<SyntheticSequence> clips;
+  std::vector<std::vector<YuvFrame>> expected(3);
+  for (int c = 0; c < 3; ++c) {
+    clips.push_back(make_paper_sequence(
+        c == 0 ? SequenceKind::kForemanLike
+               : (c == 1 ? SequenceKind::kAkiyoLike : SequenceKind::kGardenLike),
+        seed));
+    for (int i = 0; i < kFrames; ++i) expected[c].push_back(clips[c].render(i));
+  }
+  const std::size_t bytes_before = SyntheticSequence::cached_bytes();
+
+  // Thread t walks every (clip, frame) pair from its own offset, so
+  // threads race to render and publish the same slots.
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < 3 * kFrames; ++k) {
+        const int n = (k + t * 5) % (3 * kFrames);
+        const int c = n % 3;
+        const int i = n / 3;
+        if (!(clips[c].frame_at(i) == expected[c][i])) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  // One published frame per slot, and racers that lost gave back their
+  // budget claim.
+  for (const SyntheticSequence& clip : clips) {
+    EXPECT_EQ(clip.cached_frames(), kFrames);
+  }
+  EXPECT_EQ(SyntheticSequence::cached_bytes() - bytes_before,
+            std::size_t{3 * kFrames * kQcifWidth * kQcifHeight * 3 / 2});
+}
+
+// Spends the whole frame-cache budget of the process, so it comes last.
+TEST(FrameCache, FramesPastTheBudgetAreRenderedNotCached) {
+  constexpr int kWidth = 704;
+  constexpr int kHeight = 576;
+  constexpr std::size_t kFrameBytes = std::size_t{kWidth} * kHeight * 3 / 2;
+  const int fit = static_cast<int>(kFrameCacheBudgetBytes / kFrameBytes);
+  const SyntheticSequence filler(SequenceKind::kGardenLike, kWidth, kHeight,
+                                 0xB0D6E7);
+  const SyntheticSequence late(SequenceKind::kAkiyoLike, kWidth, kHeight,
+                               0xB0D6E7);
+  for (int i = 0; i < fit; ++i) {
+    filler.frame_at(i);
+    EXPECT_LE(SyntheticSequence::cached_bytes(), kFrameCacheBudgetBytes) << i;
+  }
+  // The budget is full to within one frame.
+  EXPECT_GT(SyntheticSequence::cached_bytes() + kFrameBytes,
+            kFrameCacheBudgetBytes);
+  EXPECT_LE(filler.cached_frames(), fit);
+  // Past the budget, frames are rendered on every call: indices from `fit`
+  // on have no slot, and the late clip's frames have slots but no budget
+  // left to claim.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(late.frame_at(i), late.render(i)) << i;
+      EXPECT_EQ(filler.frame_at(fit + i), filler.render(fit + i)) << i;
+    }
+  }
+  EXPECT_EQ(late.cached_frames(), 0);
+  EXPECT_LE(filler.cached_frames(), fit);
+  EXPECT_LE(SyntheticSequence::cached_bytes(), kFrameCacheBudgetBytes);
 }
 
 }  // namespace
