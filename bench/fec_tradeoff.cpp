@@ -17,9 +17,10 @@
 //
 // Every cell is deterministic (seeded loss, modeled energy), so the
 // emitted BENCH_fec.json doubles as a CI regression baseline: the
-// bench-smoke job re-runs this matrix at PBPAIR_BENCH_FRAMES=24 and
-// check_bench_regression --mode fec gates the recovery_rate and
-// j_per_frame columns against the committed file.
+// bench-smoke job re-runs this matrix at PBPAIR_BENCH_FRAMES=300 and
+// check_bench_regression gates the recovery_rate, j_per_frame and psnr_db
+// columns against the committed file under the obs::default_gates()
+// table, near-exact because a rerun reproduces them bit for bit.
 #include <cstdio>
 #include <memory>
 #include <string>

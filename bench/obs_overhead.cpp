@@ -5,7 +5,8 @@
 // thread-local shard cell — no shared cache line, no mutex — and that
 // turning the whole obs layer on costs the paper pipeline almost nothing.
 // Two row families measure exactly that, gated in CI by
-// check_bench_regression --mode obs against the committed BENCH_obs.json:
+// check_bench_regression against the committed BENCH_obs.json (rel 0.5
+// growth in obs::default_gates()):
 //
 //   bump/tN      N threads hammer one Counter (+ one Histogram every 4th
 //                op) of a private Registry for kOpsPerThread ops each.
@@ -216,7 +217,7 @@ int main() {
     // setting (the per-frame obs cost is fixed, the codec cost scales
     // with frames, so short runs overstate the ratio); the hard abort
     // only catches blowups — drift is gated by check_bench_regression
-    // --mode obs against the committed BENCH_obs.json.
+    // against the committed BENCH_obs.json.
     PB_CHECK(row.overhead_ratio < 1.5);
   }
   bench::maybe_write_csv(bump_table, "obs_overhead_bump");

@@ -1,314 +1,112 @@
 #include "obs/bench_compare.h"
 
+#include <algorithm>
+
 namespace pbpair::obs {
 namespace {
 
-const common::JsonValue* find_kernel(const common::JsonValue& report,
-                                     const std::string& name) {
-  const common::JsonValue* kernels = report.find("kernels");
-  if (kernels == nullptr || !kernels->is_array()) return nullptr;
-  for (const common::JsonValue& entry : kernels->items()) {
+const common::JsonValue* find_row(const common::JsonValue& report,
+                                  const std::string& rows,
+                                  const std::string& name) {
+  const common::JsonValue* array = report.find(rows);
+  if (array == nullptr || !array->is_array()) return nullptr;
+  for (const common::JsonValue& entry : array->items()) {
     if (entry.string_at("name") == name) return &entry;
   }
   return nullptr;
 }
 
-bool is_ns_field(const std::string& key) {
-  return key.size() > 3 && key.compare(key.size() - 3, 3, "_ns") == 0;
+// "*suffix" matches any longer key ending in suffix; anything else is exact.
+bool field_matches(const std::string& pattern, const std::string& key) {
+  if (pattern.empty() || pattern[0] != '*') return key == pattern;
+  const std::size_t n = pattern.size() - 1;
+  return key.size() > n && key.compare(key.size() - n, n, pattern, 1, n) == 0;
 }
 
-const common::JsonValue* find_fec_row(const common::JsonValue& report,
-                                      const std::string& name) {
-  const common::JsonValue* rows = report.find("fec_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
+bool regressed(const Gate& gate, double baseline, double current) {
+  const double t = gate.value;
+  if (gate.better == Better::kLower) {
+    return gate.tolerance == Tolerance::kAbs
+               ? current > baseline + t
+               : baseline > 0.0 && current > baseline * (1.0 + t);
   }
-  return nullptr;
-}
-
-const common::JsonValue* find_wire_row(const common::JsonValue& report,
-                                       const std::string& name) {
-  const common::JsonValue* rows = report.find("wire_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
-  }
-  return nullptr;
-}
-
-const common::JsonValue* find_obs_row(const common::JsonValue& report,
-                                      const std::string& name) {
-  const common::JsonValue* rows = report.find("obs_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
-  }
-  return nullptr;
-}
-
-const common::JsonValue* find_sessions_row(const common::JsonValue& report,
-                                           const std::string& name) {
-  const common::JsonValue* rows = report.find("sessions_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
-  }
-  return nullptr;
+  // A floor is phrased baseline > current * (1 + t), not current <
+  // baseline * (1 - t), so a tolerance above 1.0 still bounds the drop; a
+  // collapse to zero fails for any positive baseline.
+  return gate.tolerance == Tolerance::kAbs ? current < baseline - t
+                                           : baseline > current * (1.0 + t);
 }
 
 }  // namespace
 
-BenchComparison compare_bench_reports(const common::JsonValue& baseline,
-                                      const common::JsonValue& current,
-                                      double threshold) {
-  BenchComparison result;
-  const common::JsonValue* base_kernels = baseline.find("kernels");
-  if (base_kernels == nullptr || !base_kernels->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_kernels->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_kernel(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_kernels.push_back(name);
-      continue;
-    }
-    for (const auto& [key, value] : base_entry.members()) {
-      if (!is_ns_field(key) || !value.is_number()) continue;
-      const common::JsonValue* cur_value = cur_entry->find(key);
-      // A backend can legitimately disappear (baseline machine had AVX2,
-      // this one does not); only fields measured by BOTH runs compare.
-      if (cur_value == nullptr || !cur_value->is_number()) continue;
-      BenchDelta delta;
-      delta.kernel = name;
-      delta.field = key;
-      delta.baseline_ns = value.as_number();
-      delta.current_ns = cur_value->as_number();
-      delta.regression = delta.baseline_ns > 0.0 &&
-                         delta.current_ns >
-                             delta.baseline_ns * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-  }
-  const common::JsonValue* cur_kernels = current.find("kernels");
-  if (cur_kernels != nullptr && cur_kernels->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_kernels->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_kernel(baseline, name) == nullptr) {
-        result.unknown_kernels.push_back(name);
-      }
-    }
-  }
-  return result;
+const std::vector<Gate>& default_gates() {
+  static const std::vector<Gate> gates = {
+      // Wall-clock ns/call, one column per compiled kernel backend.
+      {"kernels", "*_ns", Better::kLower, Tolerance::kRel, 0.25},
+      // Seeded loss, modeled energy and copy-ledger counts reproduce bit for
+      // bit at the baseline's 300 frames under any kernel backend or thread
+      // count, so these tolerances only absorb cross-compiler floating-point
+      // noise. packets_per_s is wall-clock and never gated.
+      {"fec_rows", "recovery_rate", Better::kHigher, Tolerance::kAbs, 0.001},
+      {"fec_rows", "j_per_frame", Better::kLower, Tolerance::kRel, 0.001},
+      {"fec_rows", "psnr_db", Better::kHigher, Tolerance::kAbs, 0.01},
+      {"wire_rows", "copy_reduction", Better::kHigher, Tolerance::kAbs, 0.001},
+      {"wire_rows", "copied_bytes_per_frame", Better::kLower, Tolerance::kRel,
+       0.001},
+      // Wall-clock on shared runners: catches a sharding regression (bumps
+      // on the locked slow path), not noise.
+      {"obs_rows", "ns_per_op", Better::kLower, Tolerance::kRel, 0.5},
+      {"obs_rows", "overhead_ratio", Better::kLower, Tolerance::kRel, 0.5},
+      // The p99 comes from log2-bucket histograms whose quantiles sit on
+      // power-of-two plateaus: 3.5 passes two bucket jumps (4x, one flaky
+      // frame on a small fleet) and fails on three (8x).
+      {"sessions_rows", "sessions_per_sec", Better::kHigher, Tolerance::kRel,
+       3.5},
+      {"sessions_rows", "p99_frame_ms", Better::kLower, Tolerance::kRel, 3.5},
+  };
+  return gates;
 }
 
-FecComparison compare_fec_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold) {
-  FecComparison result;
-  const common::JsonValue* base_rows = baseline.find("fec_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_fec_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    auto both = [&](const char* field, const common::JsonValue** base_value,
-                    const common::JsonValue** cur_value) {
-      *base_value = base_entry.find(field);
-      *cur_value = cur_entry->find(field);
-      return *base_value != nullptr && (*base_value)->is_number() &&
-             *cur_value != nullptr && (*cur_value)->is_number();
-    };
-    const common::JsonValue* base_value = nullptr;
-    const common::JsonValue* cur_value = nullptr;
-    // Recovery rate is a fraction in [0, 1]: gate on ABSOLUTE drop.
-    if (both("recovery_rate", &base_value, &cur_value)) {
-      FecDelta delta;
-      delta.row = name;
-      delta.field = "recovery_rate";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.current < delta.baseline - threshold;
-      result.deltas.push_back(std::move(delta));
-    }
-    // Energy per frame: gate on RELATIVE growth, like the kernel timings.
-    if (both("j_per_frame", &base_value, &cur_value)) {
-      FecDelta delta;
-      delta.row = name;
-      delta.field = "j_per_frame";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
+Comparison compare_reports(const common::JsonValue& baseline,
+                           const common::JsonValue& current,
+                           const std::vector<Gate>& gates) {
+  std::vector<std::string> arrays;
+  for (const Gate& gate : gates) {
+    if (std::find(arrays.begin(), arrays.end(), gate.rows) == arrays.end()) {
+      arrays.push_back(gate.rows);
     }
   }
-  const common::JsonValue* cur_rows = current.find("fec_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
+
+  Comparison result;
+  for (const std::string& rows : arrays) {
+    const common::JsonValue* base_rows = baseline.find(rows);
+    if (base_rows == nullptr || !base_rows->is_array()) continue;
+    for (const common::JsonValue& base_entry : base_rows->items()) {
+      const std::string& name = base_entry.string_at("name");
       if (name.empty()) continue;
-      if (find_fec_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
-      }
-    }
-  }
-  return result;
-}
-
-WireComparison compare_wire_reports(const common::JsonValue& baseline,
-                                    const common::JsonValue& current,
-                                    double threshold) {
-  WireComparison result;
-  const common::JsonValue* base_rows = baseline.find("wire_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_wire_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    const common::JsonValue* base_value = base_entry.find("copy_reduction");
-    const common::JsonValue* cur_value = cur_entry->find("copy_reduction");
-    if (base_value == nullptr || !base_value->is_number() ||
-        cur_value == nullptr || !cur_value->is_number()) {
-      continue;
-    }
-    WireDelta delta;
-    delta.row = name;
-    delta.field = "copy_reduction";
-    delta.baseline = base_value->as_number();
-    delta.current = cur_value->as_number();
-    // A fraction in [0, 1]: gate on ABSOLUTE drop, like recovery_rate.
-    delta.regression = delta.current < delta.baseline - threshold;
-    result.deltas.push_back(std::move(delta));
-  }
-  const common::JsonValue* cur_rows = current.find("wire_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_wire_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
-      }
-    }
-  }
-  return result;
-}
-
-ObsComparison compare_obs_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold) {
-  ObsComparison result;
-  const common::JsonValue* base_rows = baseline.find("obs_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_obs_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    // Both gated fields are "smaller is better" costs: relative growth.
-    for (const char* field : {"ns_per_op", "overhead_ratio"}) {
-      const common::JsonValue* base_value = base_entry.find(field);
-      const common::JsonValue* cur_value = cur_entry->find(field);
-      if (base_value == nullptr || !base_value->is_number() ||
-          cur_value == nullptr || !cur_value->is_number()) {
+      const common::JsonValue* cur_entry = find_row(current, rows, name);
+      if (cur_entry == nullptr) {
+        result.missing_rows.push_back(name);
         continue;
       }
-      ObsDelta delta;
-      delta.row = name;
-      delta.field = field;
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-  }
-  const common::JsonValue* cur_rows = current.find("obs_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_obs_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
+      for (const Gate& gate : gates) {
+        if (gate.rows != rows) continue;
+        for (const auto& [key, value] : base_entry.members()) {
+          if (!field_matches(gate.field, key) || !value.is_number()) continue;
+          const common::JsonValue* cur_value = cur_entry->find(key);
+          if (cur_value == nullptr || !cur_value->is_number()) continue;
+          const double base = value.as_number();
+          const double cur = cur_value->as_number();
+          result.deltas.push_back(
+              {gate, name, key, base, cur, regressed(gate, base, cur)});
+        }
       }
     }
-  }
-  return result;
-}
-
-SessionsComparison compare_sessions_reports(const common::JsonValue& baseline,
-                                            const common::JsonValue& current,
-                                            double threshold) {
-  SessionsComparison result;
-  const common::JsonValue* base_rows = baseline.find("sessions_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_sessions_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    const common::JsonValue* base_value = nullptr;
-    const common::JsonValue* cur_value = nullptr;
-    auto both = [&](const char* field) {
-      base_value = base_entry.find(field);
-      cur_value = cur_entry->find(field);
-      return base_value != nullptr && base_value->is_number() &&
-             cur_value != nullptr && cur_value->is_number();
-    };
-    // Throughput floor: fail when the baseline exceeds the current rate by
-    // the threshold factor. Phrased as baseline > current * (1 + t) rather
-    // than current < baseline * (1 - t) so thresholds above 1.0 (needed by
-    // the latency gate's bucket quantization) keep a meaningful floor.
-    if (both("sessions_per_sec")) {
-      SessionsDelta delta;
-      delta.row = name;
-      delta.field = "sessions_per_sec";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.current > 0.0 &&
-                         delta.baseline > delta.current * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-    // Latency ceiling: relative growth, like the kernel timings. The p99
-    // sits on power-of-two bucket bounds, so one bucket jump doubles it —
-    // callers gate with threshold >= 1.0.
-    if (both("p99_frame_ms")) {
-      SessionsDelta delta;
-      delta.row = name;
-      delta.field = "p99_frame_ms";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-  }
-  const common::JsonValue* cur_rows = current.find("sessions_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
+    const common::JsonValue* cur_rows = current.find(rows);
+    if (cur_rows == nullptr || !cur_rows->is_array()) continue;
     for (const common::JsonValue& cur_entry : cur_rows->items()) {
       const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_sessions_row(baseline, name) == nullptr) {
+      if (!name.empty() && find_row(baseline, rows, name) == nullptr) {
         result.unknown_rows.push_back(name);
       }
     }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -529,6 +530,29 @@ TEST(ObsPipeline, FrameTraceJsonlIsDeterministicAndParses) {
   std::remove(path.c_str());
 }
 
+// Test-local gate tables, one per report schema, all at tolerance `t`.
+std::vector<obs::Gate> kernel_gates(double t) {
+  return {{"kernels", "*_ns", obs::Better::kLower, obs::Tolerance::kRel, t}};
+}
+std::vector<obs::Gate> fec_gates(double t) {
+  return {{"fec_rows", "recovery_rate", obs::Better::kHigher,
+           obs::Tolerance::kAbs, t},
+          {"fec_rows", "j_per_frame", obs::Better::kLower,
+           obs::Tolerance::kRel, t}};
+}
+std::vector<obs::Gate> obs_gates(double t) {
+  return {{"obs_rows", "ns_per_op", obs::Better::kLower, obs::Tolerance::kRel,
+           t},
+          {"obs_rows", "overhead_ratio", obs::Better::kLower,
+           obs::Tolerance::kRel, t}};
+}
+std::vector<obs::Gate> sessions_gates(double t) {
+  return {{"sessions_rows", "sessions_per_sec", obs::Better::kHigher,
+           obs::Tolerance::kRel, t},
+          {"sessions_rows", "p99_frame_ms", obs::Better::kLower,
+           obs::Tolerance::kRel, t}};
+}
+
 TEST(BenchCompare, PassesWithinThresholdFailsBeyondIt) {
   const char* baseline_text = R"({"kernels": [
       {"name": "sad_16x16", "scalar_ns": 100.0, "sse2_ns": 40.0},
@@ -540,23 +564,23 @@ TEST(BenchCompare, PassesWithinThresholdFailsBeyondIt) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::BenchComparison result =
-      obs::compare_bench_reports(baseline, current, 0.25);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, kernel_gates(0.25));
   EXPECT_FALSE(result.ok());  // sse2 went 40 -> 70: +75%
   ASSERT_EQ(result.deltas.size(), 3u);
   int regressions = 0;
-  for (const obs::BenchDelta& d : result.deltas) {
+  for (const obs::Delta& d : result.deltas) {
     if (d.regression) {
       ++regressions;
-      EXPECT_EQ(d.kernel, "sad_16x16");
+      EXPECT_EQ(d.row, "sad_16x16");
       EXPECT_EQ(d.field, "sse2_ns");
-      EXPECT_NEAR(d.ratio(), 1.75, 1e-9);
+      EXPECT_NEAR(d.current / d.baseline, 1.75, 1e-9);
     }
   }
   EXPECT_EQ(regressions, 1);
 
   // A generous threshold accepts the same pair.
-  EXPECT_TRUE(obs::compare_bench_reports(baseline, current, 1.0).ok());
+  EXPECT_TRUE(obs::compare_reports(baseline, current, kernel_gates(1.0)).ok());
 }
 
 TEST(BenchCompare, MissingKernelIsAFailureMissingFieldIsNot) {
@@ -571,11 +595,11 @@ TEST(BenchCompare, MissingKernelIsAFailureMissingFieldIsNot) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::BenchComparison result =
-      obs::compare_bench_reports(baseline, current, 0.25);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, obs::default_gates());
   EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_kernels.size(), 1u);
-  EXPECT_EQ(result.missing_kernels[0], "quant_block");
+  ASSERT_EQ(result.missing_rows.size(), 1u);
+  EXPECT_EQ(result.missing_rows[0], "quant_block");
   ASSERT_EQ(result.deltas.size(), 1u);
   EXPECT_FALSE(result.deltas[0].regression);
 }
@@ -593,12 +617,12 @@ TEST(BenchCompare, FecGatesRecoveryAbsoluteAndEnergyRelative) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::FecComparison result =
-      obs::compare_fec_reports(baseline, current, 0.25);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, fec_gates(0.25));
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.deltas.size(), 4u);
   int regressions = 0;
-  for (const obs::FecDelta& d : result.deltas) {
+  for (const obs::Delta& d : result.deltas) {
     if (!d.regression) continue;
     ++regressions;
     if (d.row == "ge/hybrid/k8m2") {
@@ -611,7 +635,7 @@ TEST(BenchCompare, FecGatesRecoveryAbsoluteAndEnergyRelative) {
   EXPECT_EQ(regressions, 2);
 
   // Generous thresholds accept the same pair.
-  EXPECT_TRUE(obs::compare_fec_reports(baseline, current, 0.50).ok());
+  EXPECT_TRUE(obs::compare_reports(baseline, current, fec_gates(0.50)).ok());
 }
 
 TEST(BenchCompare, FecMissingRowFailsUnknownRowOnlyWarns) {
@@ -628,8 +652,8 @@ TEST(BenchCompare, FecMissingRowFailsUnknownRowOnlyWarns) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::FecComparison result =
-      obs::compare_fec_reports(baseline, current, 0.25);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, fec_gates(0.25));
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.missing_rows.size(), 1u);
   EXPECT_EQ(result.missing_rows[0], "ge/fec/k4m2");
@@ -637,8 +661,8 @@ TEST(BenchCompare, FecMissingRowFailsUnknownRowOnlyWarns) {
   EXPECT_EQ(result.unknown_rows[0], "ge/hybrid/k4m4");
 
   // With the missing row restored, the unknown row alone stays green.
-  obs::FecComparison unknown_only =
-      obs::compare_fec_reports(current, current, 0.25);
+  obs::Comparison unknown_only =
+      obs::compare_reports(current, current, fec_gates(0.25));
   EXPECT_TRUE(unknown_only.ok());
 }
 
@@ -655,14 +679,14 @@ TEST(BenchCompare, ObsGatesNsPerOpAndOverheadRatioRelative) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::ObsComparison result =
-      obs::compare_obs_reports(baseline, current, 0.5);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, obs::default_gates());
   EXPECT_FALSE(result.ok());
   // Only the gated fields compare: mops_per_s and off_ms never produce
   // deltas, so one row contributes at most two.
   ASSERT_EQ(result.deltas.size(), 2u);
   int regressions = 0;
-  for (const obs::ObsDelta& d : result.deltas) {
+  for (const obs::Delta& d : result.deltas) {
     if (!d.regression) continue;
     ++regressions;
     EXPECT_EQ(d.row, "bump/t8");
@@ -671,7 +695,7 @@ TEST(BenchCompare, ObsGatesNsPerOpAndOverheadRatioRelative) {
   EXPECT_EQ(regressions, 1);
 
   // A generous threshold accepts the same pair.
-  EXPECT_TRUE(obs::compare_obs_reports(baseline, current, 1.0).ok());
+  EXPECT_TRUE(obs::compare_reports(baseline, current, obs_gates(1.0)).ok());
 }
 
 TEST(BenchCompare, ObsMissingRowFailsUnknownRowOnlyWarns) {
@@ -685,14 +709,15 @@ TEST(BenchCompare, ObsMissingRowFailsUnknownRowOnlyWarns) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::ObsComparison result =
-      obs::compare_obs_reports(baseline, current, 0.5);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, obs::default_gates());
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.missing_rows.size(), 1u);
   EXPECT_EQ(result.missing_rows[0], "bump/t8");
   ASSERT_EQ(result.unknown_rows.size(), 1u);
   EXPECT_EQ(result.unknown_rows[0], "pipeline/t1");
-  EXPECT_TRUE(obs::compare_obs_reports(current, current, 0.5).ok());
+  EXPECT_TRUE(
+      obs::compare_reports(current, current, obs::default_gates()).ok());
 }
 
 TEST(BenchCompare, SessionsGatesThroughputFloorAndLatencyCeiling) {
@@ -714,13 +739,13 @@ TEST(BenchCompare, SessionsGatesThroughputFloorAndLatencyCeiling) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::SessionsComparison result =
-      obs::compare_sessions_reports(baseline, current, 1.0);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, sessions_gates(1.0));
   EXPECT_FALSE(result.ok());
   // Only sessions_per_sec and p99_frame_ms gate: two rows, four deltas.
   ASSERT_EQ(result.deltas.size(), 4u);
   int regressions = 0;
-  for (const obs::SessionsDelta& d : result.deltas) {
+  for (const obs::Delta& d : result.deltas) {
     if (!d.regression) continue;
     ++regressions;
     if (d.row == "n8") {
@@ -733,9 +758,11 @@ TEST(BenchCompare, SessionsGatesThroughputFloorAndLatencyCeiling) {
   EXPECT_EQ(regressions, 2);
 
   // A threshold wide enough for both movements accepts the same pair.
-  EXPECT_TRUE(obs::compare_sessions_reports(baseline, current, 2.5).ok());
+  EXPECT_TRUE(
+      obs::compare_reports(baseline, current, sessions_gates(2.5)).ok());
   // Identity always passes.
-  EXPECT_TRUE(obs::compare_sessions_reports(baseline, baseline, 1.0).ok());
+  EXPECT_TRUE(
+      obs::compare_reports(baseline, baseline, sessions_gates(1.0)).ok());
 }
 
 TEST(BenchCompare, SessionsMissingRowFailsUnknownRowOnlyWarns) {
@@ -751,14 +778,145 @@ TEST(BenchCompare, SessionsMissingRowFailsUnknownRowOnlyWarns) {
   ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
   ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
 
-  obs::SessionsComparison result =
-      obs::compare_sessions_reports(baseline, current, 1.0);
+  obs::Comparison result =
+      obs::compare_reports(baseline, current, sessions_gates(1.0));
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.missing_rows.size(), 1u);
   EXPECT_EQ(result.missing_rows[0], "n10000");
   ASSERT_EQ(result.unknown_rows.size(), 1u);
   EXPECT_EQ(result.unknown_rows[0], "n1024");
-  EXPECT_TRUE(obs::compare_sessions_reports(current, current, 1.0).ok());
+  EXPECT_TRUE(
+      obs::compare_reports(current, current, sessions_gates(1.0)).ok());
+}
+
+TEST(BenchCompare, ThroughputFloorFailsOnZero) {
+  // No tolerance makes a throughput of zero acceptable against a positive
+  // baseline, however wide the relative floor.
+  const char* baseline_text = R"({"sessions_rows": [
+      {"name": "n8", "sessions_per_sec": 100.0, "p99_frame_ms": 4.2}]})";
+  const char* current_text = R"({"sessions_rows": [
+      {"name": "n8", "sessions_per_sec": 0.0, "p99_frame_ms": 4.2}]})";
+  common::JsonValue baseline, current;
+  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
+  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
+
+  for (const std::vector<obs::Gate>& gates :
+       {obs::default_gates(), sessions_gates(100.0)}) {
+    obs::Comparison result = obs::compare_reports(baseline, current, gates);
+    EXPECT_FALSE(result.ok());
+    ASSERT_EQ(result.deltas.size(), 2u);
+    for (const obs::Delta& d : result.deltas) {
+      EXPECT_EQ(d.regression, d.field == "sessions_per_sec") << d.field;
+    }
+  }
+}
+
+// A one-row report: {"<rows>": [{"name": <name>, <field>: <value>}]}.
+common::JsonValue one_row_report(const std::string& rows,
+                                 const std::string& name,
+                                 const std::string& field, double value) {
+  std::ostringstream text;
+  text << std::setprecision(17) << "{\"" << rows << "\": [{\"name\": \""
+       << common::json_escape(name) << "\", \"" << field << "\": " << value
+       << "}]}";
+  common::JsonValue report;
+  EXPECT_TRUE(common::JsonValue::parse(text.str(), &report)) << text.str();
+  return report;
+}
+
+// `baseline` moved `fraction` of the gate's tolerance in its worse direction.
+double moved(const obs::Gate& gate, double baseline, double fraction) {
+  const double t = gate.value * fraction;
+  if (gate.tolerance == obs::Tolerance::kAbs) {
+    return gate.better == obs::Better::kLower ? baseline + t : baseline - t;
+  }
+  return gate.better == obs::Better::kLower ? baseline * (1.0 + t)
+                                            : baseline / (1.0 + t);
+}
+
+// Pins the CI gate table against the committed baselines: every committed
+// value of every gated field fails just past its pinned tolerance and
+// passes just inside it, under obs::default_gates(). A gate loosened,
+// dropped or aimed at another field fails here.
+TEST(BenchCompare, DefaultGatesHoldOnCommittedBaselines) {
+  using obs::Better;
+  using obs::Tolerance;
+  struct Pin {
+    const char* file;
+    obs::Gate gate;
+  };
+  const std::vector<Pin> pins = {
+      {"BENCH_kernels.json",
+       {"kernels", "*_ns", Better::kLower, Tolerance::kRel, 0.25}},
+      {"BENCH_fec.json",
+       {"fec_rows", "recovery_rate", Better::kHigher, Tolerance::kAbs, 0.001}},
+      {"BENCH_fec.json",
+       {"fec_rows", "j_per_frame", Better::kLower, Tolerance::kRel, 0.001}},
+      {"BENCH_fec.json",
+       {"fec_rows", "psnr_db", Better::kHigher, Tolerance::kAbs, 0.01}},
+      {"BENCH_wire.json",
+       {"wire_rows", "copy_reduction", Better::kHigher, Tolerance::kAbs,
+        0.001}},
+      {"BENCH_wire.json",
+       {"wire_rows", "copied_bytes_per_frame", Better::kLower,
+        Tolerance::kRel, 0.001}},
+      {"BENCH_obs.json",
+       {"obs_rows", "ns_per_op", Better::kLower, Tolerance::kRel, 0.5}},
+      {"BENCH_obs.json",
+       {"obs_rows", "overhead_ratio", Better::kLower, Tolerance::kRel, 0.5}},
+      {"BENCH_sessions.json",
+       {"sessions_rows", "sessions_per_sec", Better::kHigher,
+        Tolerance::kRel, 3.5}},
+      {"BENCH_sessions.json",
+       {"sessions_rows", "p99_frame_ms", Better::kLower, Tolerance::kRel,
+        3.5}},
+  };
+  ASSERT_EQ(obs::default_gates().size(), pins.size());
+
+  for (const Pin& pin : pins) {
+    const obs::Gate& gate = pin.gate;
+    SCOPED_TRACE(std::string(pin.file) + " " + gate.field);
+    common::JsonValue baseline;
+    std::string error;
+    ASSERT_TRUE(common::parse_json_file(
+        std::string(PBPAIR_TEST_SOURCE_DIR) + "/" + pin.file, &baseline,
+        &error))
+        << error;
+    EXPECT_TRUE(
+        obs::compare_reports(baseline, baseline, obs::default_gates()).ok());
+    const common::JsonValue* rows = baseline.find(gate.rows);
+    ASSERT_NE(rows, nullptr);
+    const std::string suffix =
+        gate.field[0] == '*' ? gate.field.substr(1) : gate.field;
+    int checked = 0;
+    for (const common::JsonValue& row : rows->items()) {
+      const std::string& name = row.string_at("name");
+      for (const auto& [key, value] : row.members()) {
+        const bool match = gate.field[0] == '*'
+                               ? key.size() > suffix.size() &&
+                                     key.ends_with(suffix)
+                               : key == gate.field;
+        if (!match || !value.is_number()) continue;
+        SCOPED_TRACE(name + " " + key);
+        const double b = value.as_number();
+        const common::JsonValue base =
+            one_row_report(gate.rows, name, key, b);
+        EXPECT_TRUE(obs::compare_reports(
+                        base,
+                        one_row_report(gate.rows, name, key,
+                                       moved(gate, b, 0.99)),
+                        obs::default_gates())
+                        .ok());
+        const obs::Comparison past = obs::compare_reports(
+            base, one_row_report(gate.rows, name, key, moved(gate, b, 1.01)),
+            obs::default_gates());
+        ASSERT_EQ(past.deltas.size(), 1u);
+        EXPECT_TRUE(past.deltas[0].regression);
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0);  // the gate bites on its committed baseline
+  }
 }
 
 TEST(Json, ParserHandlesCoreGrammarAndRejectsGarbage) {

@@ -1,28 +1,15 @@
 // check_bench_regression — CI gate over BENCH_*.json reports.
 //
-//   check_bench_regression --baseline BENCH_kernels.json
-//                          --current build/BENCH_kernels.json
-//                          [--threshold 0.25] [--mode kernels|fec|wire]
+//   check_bench_regression --baseline BENCH_fec.json
+//                          --current build/BENCH_fec.json
 //
-// Mode "kernels" (default) diffs per-kernel ns/call numbers and exits 1
-// when any grew by more than the threshold (default +25%) or a baseline
-// kernel vanished from the current report. Mode "fec" diffs the
-// BENCH_fec.json trade-off matrix row by row: recovery_rate may not fall
-// more than the threshold ABSOLUTE below the baseline, j_per_frame may
-// not grow more than the threshold RELATIVE above it, and a vanished row
-// fails while a row with no committed baseline only warns. Mode "wire"
-// diffs BENCH_wire.json the same way: copy_reduction may not fall more
-// than the threshold ABSOLUTE below the baseline (packets_per_s is
-// wall-clock and never gated). Mode "obs" diffs BENCH_obs.json: the
-// bump/* rows' ns_per_op and the pipeline/* rows' overhead_ratio may not
-// grow more than the threshold RELATIVE above the baseline (both are
-// wall-clock, so CI uses a generous threshold). Mode "sessions" diffs
-// BENCH_sessions.json scaling-curve rows: sessions_per_sec may not fall
-// below current * (1 + threshold) under the baseline (throughput floor)
-// and p99_frame_ms may not grow more than the threshold RELATIVE above
-// it (latency ceiling; the p99 comes from log2-bucket histograms, so CI
-// gates with threshold >= 1.0 to allow one power-of-two bucket jump).
-// Exit 2 = usage/parse error.
+// Diffs the current report against the committed baseline under the gate
+// table obs::default_gates() (src/obs/bench_compare.cpp): the table's row
+// arrays that the baseline carries pick the gates, rows match by name, and
+// each gated field fails when it moved further in the worse direction than
+// its tolerance. A baseline row missing from the current report fails; a
+// current row with no baseline only warns. Exit 1 = regression or missing
+// row, 2 = usage/parse error or a baseline with no gated rows.
 // Better-than-baseline results are reported but never fail — baselines
 // are refreshed by re-running the bench and committing the new file.
 #include <cstdio>
@@ -39,15 +26,11 @@ int main(int argc, char** argv) {
   common::ArgParser args(argc, argv);
   const std::string baseline_path = args.get("baseline");
   const std::string current_path = args.get("current");
-  const double threshold = args.get_double("threshold", 0.25);
-  const std::string mode = args.get("mode", "kernels");
-  if (baseline_path.empty() || current_path.empty() || threshold < 0.0 ||
-      (mode != "kernels" && mode != "fec" && mode != "wire" &&
-       mode != "obs" && mode != "sessions")) {
-    std::fprintf(
-        stderr,
-        "usage: check_bench_regression --baseline FILE --current "
-        "FILE [--threshold 0.25] [--mode kernels|fec|wire|obs|sessions]\n");
+  if (baseline_path.empty() || current_path.empty() ||
+      !args.unknown_flags().empty() || !args.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: check_bench_regression --baseline FILE --current "
+                 "FILE\n");
     return 2;
   }
 
@@ -64,206 +47,48 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (mode == "fec") {
-    obs::FecComparison comparison =
-        obs::compare_fec_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable fec_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::FecDelta& d : comparison.deltas) {
-      const bool relative = d.field == "j_per_frame";
-      table.add_row(
-          {d.row, d.field, sim::format("%.4f", d.baseline),
-           sim::format("%.4f", d.current),
-           relative ? sim::format("%+.1f%%", d.baseline > 0.0
-                                                 ? (d.current / d.baseline -
-                                                    1.0) * 100.0
-                                                 : 0.0)
-                    : sim::format("%+.3f", d.current - d.baseline),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: FEC recovery_rate / J-per-frame regression beyond "
-                  "threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all FEC rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "wire") {
-    obs::WireComparison comparison =
-        obs::compare_wire_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable wire_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::WireDelta& d : comparison.deltas) {
-      table.add_row({d.row, d.field, sim::format("%.4f", d.baseline),
-                     sim::format("%.4f", d.current),
-                     sim::format("%+.3f", d.current - d.baseline),
-                     d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: copy_reduction regression beyond threshold %.2f "
-                  "(or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all wire rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "obs") {
-    obs::ObsComparison comparison =
-        obs::compare_obs_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable obs_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::ObsDelta& d : comparison.deltas) {
-      table.add_row(
-          {d.row, d.field, sim::format("%.4f", d.baseline),
-           sim::format("%.4f", d.current),
-           sim::format("%+.1f%%", d.baseline > 0.0
-                                      ? (d.current / d.baseline - 1.0) * 100.0
-                                      : 0.0),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: obs ns_per_op / overhead_ratio regression beyond "
-                  "threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all obs rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "sessions") {
-    obs::SessionsComparison comparison =
-        obs::compare_sessions_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable sessions_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::SessionsDelta& d : comparison.deltas) {
-      table.add_row(
-          {d.row, d.field, sim::format("%.3f", d.baseline),
-           sim::format("%.3f", d.current),
-           sim::format("%+.1f%%", d.baseline > 0.0
-                                      ? (d.current / d.baseline - 1.0) * 100.0
-                                      : 0.0),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: sessions/sec floor or p99 frame-latency ceiling "
-                  "breached beyond threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "OK: all sessions rows within threshold %.2f of the baseline\n",
-        threshold);
-    return 0;
-  }
-
-  obs::BenchComparison comparison =
-      obs::compare_bench_reports(baseline, current, threshold);
-  if (comparison.deltas.empty() && comparison.missing_kernels.empty()) {
-    std::fprintf(stderr, "no comparable kernels found in %s\n",
-                 baseline_path.c_str());
+  const obs::Comparison comparison =
+      obs::compare_reports(baseline, current, obs::default_gates());
+  if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
+    std::fprintf(stderr, "no gated rows found in %s\n", baseline_path.c_str());
     return 2;
   }
 
-  sim::Table table({"kernel", "field", "baseline_ns", "current_ns", "ratio",
-                    "verdict"});
-  for (const obs::BenchDelta& d : comparison.deltas) {
-    table.add_row({d.kernel, d.field, sim::format("%.2f", d.baseline_ns),
-                   sim::format("%.2f", d.current_ns),
-                   sim::format("%.3fx", d.ratio()),
-                   d.regression ? "REGRESSION" : "ok"});
+  sim::Table table(
+      {"row", "field", "baseline", "current", "delta", "gate", "verdict"});
+  for (const obs::Delta& d : comparison.deltas) {
+    const bool relative = d.gate.tolerance == obs::Tolerance::kRel;
+    table.add_row(
+        {d.row, d.field, sim::format("%.6g", d.baseline),
+         sim::format("%.6g", d.current),
+         relative ? sim::format("%+.1f%%", d.baseline != 0.0
+                                               ? (d.current / d.baseline -
+                                                  1.0) * 100.0
+                                               : 0.0)
+                  : sim::format("%+.4g", d.current - d.baseline),
+         sim::format("%s %s %g",
+                     d.gate.better == obs::Better::kHigher ? "higher"
+                                                           : "lower",
+                     relative ? "rel" : "abs", d.gate.value),
+         d.regression ? "REGRESSION" : "ok"});
   }
   table.print();
-  for (const std::string& name : comparison.missing_kernels) {
-    std::printf("MISSING: kernel \"%s\" is in the baseline but not in the "
+  for (const std::string& name : comparison.missing_rows) {
+    std::printf("MISSING: row \"%s\" is in the baseline but not in the "
                 "current report\n",
                 name.c_str());
   }
-  for (const std::string& name : comparison.unknown_kernels) {
-    std::printf("WARNING: kernel \"%s\" has no baseline row yet (measured "
-                "but not gated; refresh %s to start gating it)\n",
+  for (const std::string& name : comparison.unknown_rows) {
+    std::printf("WARNING: row \"%s\" has no baseline yet (measured but not "
+                "gated; refresh %s to start gating it)\n",
                 name.c_str(), baseline_path.c_str());
   }
-
   if (!comparison.ok()) {
-    std::printf("FAIL: ns/call regression beyond +%.0f%% (or missing "
-                "kernel) vs %s\n",
-                threshold * 100.0, baseline_path.c_str());
+    std::printf("FAIL: regression beyond its gate (or missing row) vs %s\n",
+                baseline_path.c_str());
     return 1;
   }
-  std::printf("OK: all kernels within +%.0f%% of the baseline\n",
-              threshold * 100.0);
+  std::printf("OK: every gated field within its gate vs %s\n",
+              baseline_path.c_str());
   return 0;
 }
