@@ -2,8 +2,13 @@
 //
 // The sharded registry's claim (DESIGN.md §14) is that a counter bump or
 // histogram observe from N concurrent threads is a handful of ns on a
-// thread-local shard cell — no shared cache line, no mutex — and that
-// turning the whole obs layer on costs the paper pipeline almost nothing.
+// thread-local shard cell — no shared cache line, no mutex. Turning the
+// whole obs layer on costs the paper pipeline (full search ±7) a fixed
+// per-frame amount: spans, stage clocks and one flush of each counter,
+// with no bump per SAD (those counts come from OpCounters, DESIGN.md §8).
+// Over 10 runs at 24 frames on a 4-vCPU VM the median of the three row
+// ratios was 1.05 at the median run and 1.18 at the worst, against 1.19
+// and 1.42 when every SAD bumped two counters.
 // Two row families measure exactly that, gated in CI by
 // check_bench_regression against the committed BENCH_obs.json (rel 0.5
 // growth in obs::default_gates()):
@@ -18,9 +23,12 @@
 //   pipeline/tN  8 labeled health-tracked sessions (the serve shape) run
 //                to completion under a SessionManager with N workers,
 //                best-of-3 with obs disabled vs enabled.
-//                overhead_ratio = on_ms / off_ms is the gated number; the
-//                in-process abort bar is 1.5 (blowups only — wall-clock
-//                noise on a loaded box owns anything tighter).
+//                overhead_ratio = on_ms / off_ms is the gated number. The
+//                in-process abort bars are 1.5 per row and 1.3 on the
+//                median of the three rows: obs costs every row the same
+//                per-frame work, while scheduler noise on an oversubscribed
+//                box (8 workers on 4 vCPUs) moved single rows from 0.67
+//                to 1.44 across 10 runs.
 //
 // Both families are wall-clock, so the CI gate uses a generous relative
 // threshold; the PB_CHECK scaling assertions only run on machines with
@@ -212,14 +220,19 @@ int main() {
   }
   pipe_table.print();
   std::fflush(stdout);
+  // The always-on telemetry bars, at CI's 24-frame quick setting (the
+  // per-frame obs cost is fixed and the codec cost scales with frames, so
+  // short runs overstate the ratio). Drift is gated by
+  // check_bench_regression against the committed BENCH_obs.json.
+  std::vector<double> ratios;
   for (const PipelineRow& row : pipeline_rows) {
-    // The always-on telemetry bar. Measured ~1.2x at CI's 24-frame quick
-    // setting (the per-frame obs cost is fixed, the codec cost scales
-    // with frames, so short runs overstate the ratio); the hard abort
-    // only catches blowups — drift is gated by check_bench_regression
-    // against the committed BENCH_obs.json.
-    PB_CHECK(row.overhead_ratio < 1.5);
+    PB_CHECK(row.overhead_ratio < 1.5);  // one row: blowups only
+    ratios.push_back(row.overhead_ratio);
   }
+  // The median row: worst of 10 runs was 1.18 on a 4-vCPU VM; 1.3 leaves
+  // ~10% headroom.
+  std::sort(ratios.begin(), ratios.end());
+  PB_CHECK(ratios[ratios.size() / 2] < 1.3);
   bench::maybe_write_csv(bump_table, "obs_overhead_bump");
   bench::maybe_write_csv(pipe_table, "obs_overhead_pipeline");
 

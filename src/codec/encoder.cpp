@@ -224,6 +224,7 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
   // tracing on or off (tests/test_obs.cpp holds this invariant).
   const bool tracing = obs::enabled();
   obs::ScopedSpan frame_span("encoder.encode_frame", frame_index_, "frame");
+  const energy::OpCounters ops_before = ops_;
   std::int64_t me_ns = 0, transform_ns = 0, vlc_ns = 0, recon_ns = 0;
   auto staged = [tracing](std::int64_t* acc, auto&& body) {
     if (!tracing) {
@@ -246,8 +247,8 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
     const std::int64_t me_t0 = tracing ? obs::trace_now_ns() : 0;
     MePenaltyFn penalty;
     if (policy_->has_me_penalty()) {
-      penalty = [this](int mb_x, int mb_y, MotionVector mv) {
-        return policy_->me_penalty(mb_x, mb_y, mv);
+      penalty = [this](const RefWindow& window) {
+        return policy_->me_penalty(window);
       };
     }
     for (int my = 0; my < mb_rows; ++my) {
@@ -376,6 +377,9 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
     static obs::Counter* c_me_searched =
         &obs::counter("encoder.mb_me_searched");
     static obs::Counter* c_bits = &obs::counter("encoder.bits_written");
+    static obs::Counter* c_sad_calls = &obs::counter("encoder.sad_calls");
+    static obs::Counter* c_sad_early_exits =
+        &obs::counter("encoder.sad_early_exits");
     static obs::Histogram* h_me = &obs::histogram("encoder.me_ns");
     static obs::Histogram* h_transform =
         &obs::histogram("encoder.transform_quant_ns");
@@ -389,6 +393,10 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
     c_me_skipped->add(me_skipped);
     c_me_searched->add(me_searched);
     c_bits->add(static_cast<std::uint64_t>(out.bytes.size()) * 8);
+    // SAD counts are metered in OpCounters (codec/sad.h) and published as
+    // this frame's deltas, so the search itself never touches obs.
+    c_sad_calls->add(ops_.sad_calls - ops_before.sad_calls);
+    c_sad_early_exits->add(ops_.sad_early_exits - ops_before.sad_early_exits);
     if (!intra_frame) h_me->observe(me_ns);
     h_transform->observe(transform_ns);
     h_vlc->observe(vlc_ns);

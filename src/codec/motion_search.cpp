@@ -5,7 +5,6 @@
 #include "codec/sad.h"
 #include "common/check.h"
 #include "common/math_util.h"
-#include "obs/metrics.h"
 
 namespace pbpair::codec {
 namespace {
@@ -17,24 +16,19 @@ struct SearchContext {
   int py;
   // Valid FULL-PEL vector bounds, in pixels.
   int min_dx, max_dx, min_dy, max_dy;
-  const MePenaltyFn* penalty;
+  WindowPenalties* penalties;
   energy::OpCounters* ops;
 
   bool in_bounds_pixels(int dx, int dy) const {
     return dx >= min_dx && dx <= max_dx && dy >= min_dy && dy <= max_dy;
   }
 
-  std::int64_t penalty_of(MotionVector mv, int mb_x, int mb_y) const {
-    if (penalty != nullptr && *penalty) return (*penalty)(mb_x, mb_y, mv);
-    return 0;
-  }
-
   /// Evaluates one FULL-PEL candidate (dx, dy in pixels); returns its cost.
   /// Sequential path, used when the active backend has no genuine batched
   /// SAD kernel (bit-identical to the batched scorer either way).
   std::int64_t evaluate(int dx, int dy, std::int64_t best_cost,
-                        std::int64_t* out_sad, int mb_x, int mb_y) const {
-    std::int64_t pen = penalty_of(MotionVector::from_pixels(dx, dy), mb_x, mb_y);
+                        std::int64_t* out_sad) const {
+    std::int64_t pen = penalties->of(MotionVector::from_pixels(dx, dy));
     // Early-out cutoff: the SAD alone only needs to reach best_cost - pen.
     std::int64_t cutoff = best_cost - pen;
     if (cutoff <= 0) {
@@ -73,10 +67,10 @@ bool use_batched_sads() {
 //   - batched SAD < cutoff: the scalar cutoff loop would have completed all
 //     16 rows (partial sums are monotonically nondecreasing, so they cannot
 //     reach the cutoff before the total does) and returned this exact
-//     value. Metering is the full 256 pixels and one sad_calls tick.
+//     value. Metering is the full 256 pixels and one sad_calls count.
 //   - batched SAD >= cutoff: the scalar loop early-exited on some row with
 //     some partial sum, and both the row count (energy) and the exit
-//     (observability) are part of the contract. The replay re-runs the
+//     (sad_early_exits) are part of the contract. The replay re-runs the
 //     metered cutoff wrapper, which terminates on the same row the scalar
 //     search did.
 //
@@ -85,8 +79,8 @@ bool use_batched_sads() {
 // span row boundaries of a full search; only the staging order matters.
 class BatchScorer {
  public:
-  BatchScorer(const SearchContext& ctx, int mb_x, int mb_y, MotionResult& best)
-      : ctx_(ctx), mb_x_(mb_x), mb_y_(mb_y), best_(best) {}
+  BatchScorer(const SearchContext& ctx, MotionResult& best)
+      : ctx_(ctx), best_(best) {}
 
   /// Stages one in-bounds full-pel candidate (scalar evaluation order).
   void add(int dx, int dy) {
@@ -128,7 +122,7 @@ class BatchScorer {
 
     for (int i = 0; i < n_; ++i) {
       const MotionVector mv = MotionVector::from_pixels(dx_[i], dy_[i]);
-      const std::int64_t pen = ctx_.penalty_of(mv, mb_x_, mb_y_);
+      const std::int64_t pen = ctx_.penalties->of(mv);
       const std::int64_t cutoff = best_.cost - pen;
       ++best_.candidates;
       if (cutoff <= 0) continue;
@@ -136,10 +130,7 @@ class BatchScorer {
       if (sads[i] < cutoff) {
         sad = sads[i];
         ctx_.ops->sad_pixel_ops += 256;
-        if (obs::enabled()) {
-          static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-          c_calls->add(1);
-        }
+        ctx_.ops->sad_calls += 1;
       } else {
         sad = sad_16x16_cutoff(ctx_.cur, ctx_.px, ctx_.py, ctx_.ref,
                                ctx_.px + dx_[i], ctx_.py + dy_[i], cutoff,
@@ -157,8 +148,6 @@ class BatchScorer {
   }
 
   const SearchContext& ctx_;
-  const int mb_x_;
-  const int mb_y_;
   MotionResult& best_;
   int n_ = 0;
   bool improved_ = false;
@@ -167,14 +156,13 @@ class BatchScorer {
   const std::uint8_t* refs_[8];
 };
 
-void full_search(const SearchContext& ctx, int mb_x, int mb_y,
-                 MotionResult& best) {
+void full_search(const SearchContext& ctx, MotionResult& best) {
   if (!use_batched_sads()) {
     for (int dy = ctx.min_dy; dy <= ctx.max_dy; ++dy) {
       for (int dx = ctx.min_dx; dx <= ctx.max_dx; ++dx) {
         if (dx == 0 && dy == 0) continue;  // seeded before dispatch
         std::int64_t sad = 0;
-        std::int64_t cost = ctx.evaluate(dx, dy, best.cost, &sad, mb_x, mb_y);
+        std::int64_t cost = ctx.evaluate(dx, dy, best.cost, &sad);
         ++best.candidates;
         if (cost < best.cost) {
           best.cost = cost;
@@ -185,7 +173,7 @@ void full_search(const SearchContext& ctx, int mb_x, int mb_y,
     }
     return;
   }
-  BatchScorer batch(ctx, mb_x, mb_y, best);
+  BatchScorer batch(ctx, best);
   for (int dy = ctx.min_dy; dy <= ctx.max_dy; ++dy) {
     for (int dx = ctx.min_dx; dx <= ctx.max_dx; ++dx) {
       if (dx == 0 && dy == 0) continue;  // seeded before dispatch
@@ -195,8 +183,7 @@ void full_search(const SearchContext& ctx, int mb_x, int mb_y,
   batch.finish();
 }
 
-void diamond_search(const SearchContext& ctx, int mb_x, int mb_y,
-                    MotionResult& best) {
+void diamond_search(const SearchContext& ctx, MotionResult& best) {
   // Large diamond search pattern descent, then small diamond refinement,
   // all in full-pel steps. The scalar loop computed the diamond center
   // before trying its 8 neighbors, so each iteration's candidate set is
@@ -212,7 +199,7 @@ void diamond_search(const SearchContext& ctx, int mb_x, int mb_y,
     auto try_pixels = [&](int dx, int dy) {
       if (!ctx.in_bounds_pixels(dx, dy)) return false;
       std::int64_t sad = 0;
-      std::int64_t cost = ctx.evaluate(dx, dy, best.cost, &sad, mb_x, mb_y);
+      std::int64_t cost = ctx.evaluate(dx, dy, best.cost, &sad);
       ++best.candidates;
       if (cost < best.cost) {
         best.cost = cost;
@@ -237,7 +224,7 @@ void diamond_search(const SearchContext& ctx, int mb_x, int mb_y,
     return;
   }
 
-  BatchScorer batch(ctx, mb_x, mb_y, best);
+  BatchScorer batch(ctx, best);
   bool improved = true;
   int iterations = 0;
   while (improved && iterations < 64) {
@@ -263,8 +250,7 @@ void diamond_search(const SearchContext& ctx, int mb_x, int mb_y,
   batch.finish();
 }
 
-void halfpel_refine(const SearchContext& ctx, int mb_x, int mb_y,
-                    MotionResult& best) {
+void halfpel_refine(const SearchContext& ctx, MotionResult& best) {
   // The 8 half-pel neighbors of the full-pel winner (TMN refinement).
   const MotionVector center = best.mv;
   for (int dy2 = -1; dy2 <= 1; ++dy2) {
@@ -276,7 +262,7 @@ void halfpel_refine(const SearchContext& ctx, int mb_x, int mb_y,
       if (!ctx.in_bounds_pixels(halfpel_floor(mv.x), halfpel_floor(mv.y))) {
         continue;
       }
-      std::int64_t pen = ctx.penalty_of(mv, mb_x, mb_y);
+      std::int64_t pen = ctx.penalties->of(mv);
       std::int64_t cutoff = best.cost - pen;
       if (cutoff <= 0) {
         ++best.candidates;
@@ -298,6 +284,40 @@ void halfpel_refine(const SearchContext& ctx, int mb_x, int mb_y,
 
 }  // namespace
 
+WindowPenalties::WindowPenalties(const MePenaltyFn& penalty, int mb_x, int mb_y,
+                                 int mb_cols, int mb_rows, int range)
+    : penalty_(penalty),
+      enabled_(static_cast<bool>(penalty)),
+      mb_x_(mb_x),
+      mb_y_(mb_y),
+      range_(range) {
+  PB_CHECK(range >= 0 && range <= 31);
+  if (!enabled_) return;
+  auto axis_class = [](int first, int last, int mb) {
+    const int cls = (first - mb + 2) * 2 + (last - first);
+    PB_DCHECK(cls >= 0 && cls < kAxisClasses);
+    return static_cast<std::uint8_t>(cls);
+  };
+  // Every half-pel component whose floor lies within ±range pixels.
+  for (int v = -2 * range; v <= 2 * range + 1; ++v) {
+    const RefWindow wx = ref_window(mb_x, mb_y, {v, 0}, mb_cols, mb_rows);
+    const RefWindow wy = ref_window(mb_x, mb_y, {0, v}, mb_cols, mb_rows);
+    axis_x_[v + kAxisOrigin] = axis_class(wx.first_col, wx.last_col, mb_x);
+    axis_y_[v + kAxisOrigin] = axis_class(wy.first_row, wy.last_row, mb_y);
+  }
+}
+
+RefWindow WindowPenalties::window_of(int key) const {
+  const int cx = key / kAxisClasses;
+  const int cy = key % kAxisClasses;
+  RefWindow w;
+  w.first_col = mb_x_ + cx / 2 - 2;
+  w.last_col = w.first_col + cx % 2;
+  w.first_row = mb_y_ + cy / 2 - 2;
+  w.last_row = w.first_row + cy % 2;
+  return w;
+}
+
 MotionResult search_motion(const video::Plane& cur, const video::Plane& ref,
                            int mb_x, int mb_y, const MotionSearchConfig& config,
                            const MePenaltyFn& penalty,
@@ -308,6 +328,8 @@ MotionResult search_motion(const video::Plane& cur, const video::Plane& ref,
   const int py = mb_y * kMbSize;
   PB_CHECK(px + kMbSize <= cur.width() && py + kMbSize <= cur.height());
 
+  WindowPenalties penalties(penalty, mb_x, mb_y, ref.width() / kMbSize,
+                            ref.height() / kMbSize, config.range);
   SearchContext ctx{
       cur,
       ref,
@@ -317,7 +339,7 @@ MotionResult search_motion(const video::Plane& cur, const video::Plane& ref,
       common::clamp(config.range, 0, ref.width() - kMbSize - px),
       common::clamp(-config.range, -py, 0),
       common::clamp(config.range, 0, ref.height() - kMbSize - py),
-      &penalty,
+      &penalties,
       &ops,
   };
 
@@ -331,19 +353,19 @@ MotionResult search_motion(const video::Plane& cur, const video::Plane& ref,
   best.sad = best.sad_zero;
   best.cost = best.sad_zero - config.zero_mv_bias;
   if (best.cost < 0) best.cost = 0;
-  if (penalty) best.cost += penalty(mb_x, mb_y, MotionVector{0, 0});
+  best.cost += penalties.of(MotionVector{0, 0});
   best.candidates = 1;
 
   switch (config.strategy) {
     case SearchStrategy::kFullSearch:
-      full_search(ctx, mb_x, mb_y, best);
+      full_search(ctx, best);
       break;
     case SearchStrategy::kDiamondSearch:
-      diamond_search(ctx, mb_x, mb_y, best);
+      diamond_search(ctx, best);
       break;
   }
   if (config.half_pel) {
-    halfpel_refine(ctx, mb_x, mb_y, best);
+    halfpel_refine(ctx, best);
   }
   return best;
 }

@@ -8,7 +8,8 @@
 //                            motion estimation for these MBs, which is the
 //                            energy lever the paper exploits.
 //  - me_penalty            : PBPAIR's probability-of-correctness term in
-//                            the motion-vector cost (§3.1.2).
+//                            the motion-vector cost (§3.1.2), charged per
+//                            reference window.
 //  - select_post_me        : decisions that need ME results — AIR's top-N
 //                            SAD selection and PGOP's stride-back MBs.
 //  - on_frame_encoded      : post-frame state updates — PBPAIR recomputes
@@ -64,11 +65,15 @@ class RefreshPolicy {
     return false;
   }
 
-  /// Extra motion-candidate cost (same scale as SAD); 0 = pure-SAD search.
-  virtual std::int64_t me_penalty(int mb_x, int mb_y, MotionVector mv) const {
-    (void)mb_x;
-    (void)mb_y;
-    (void)mv;
+  /// Extra cost (same scale as SAD) of predicting from reference window
+  /// `window` (MB units, clamped to the frame; codec/motion.h); 0 =
+  /// pure-SAD search. Every candidate vector whose reference block overlaps
+  /// this window pays the same value, as in Formula (1), where a
+  /// prediction is as trustworthy as the least trustworthy MB it touches.
+  /// The search calls it once per distinct window of an MB, so it must
+  /// depend on nothing but the window and the policy's frame state.
+  virtual std::int64_t me_penalty(const RefWindow& window) const {
+    (void)window;
     return 0;
   }
 

@@ -2,14 +2,14 @@
 
 #include "codec/kernels/kernels.h"
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace pbpair::codec {
 
 // The kernels (scalar or SIMD, see codec/kernels/) return values that are
 // bit-identical across backends; the energy metering below is analytic
 // (pixels visited, rows completed), so OpCounters never depend on which
-// backend ran.
+// backend ran. sad_16x16 and sad_16x16_cutoff also count their calls and
+// early exits there; the encoder publishes those counts once per frame.
 
 std::int64_t sad_16x16(const video::Plane& cur, int cx, int cy,
                        const video::Plane& ref, int rx, int ry,
@@ -21,10 +21,7 @@ std::int64_t sad_16x16(const video::Plane& cur, int cx, int cy,
   std::int64_t sad = kernels::active().sad_16x16(
       cur.row(cy) + cx, cur.width(), ref.row(ry) + rx, ref.width());
   ops.sad_pixel_ops += 256;
-  if (obs::enabled()) {
-    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-    c_calls->add(1);
-  }
+  ops.sad_calls += 1;
   return sad;
 }
 
@@ -40,12 +37,8 @@ std::int64_t sad_16x16_cutoff(const video::Plane& cur, int cx, int cy,
       cur.row(cy) + cx, cur.width(), ref.row(ry) + rx, ref.width(), cutoff,
       &rows);
   ops.sad_pixel_ops += 16 * static_cast<std::uint64_t>(rows);
-  if (obs::enabled()) {
-    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-    static obs::Counter* c_early = &obs::counter("encoder.sad_early_exits");
-    c_calls->add(1);
-    if (rows < 16) c_early->add(1);
-  }
+  ops.sad_calls += 1;
+  if (rows < 16) ops.sad_early_exits += 1;
   return sad;
 }
 

@@ -10,13 +10,14 @@ namespace pbpair::codec {
 
 /// SAD between the 16x16 luma block of `cur` at (cx, cy) and the block of
 /// `ref` at (rx, ry). Both blocks must be fully inside their planes.
-/// Meters 256 sad_pixel_ops.
+/// Meters 256 sad_pixel_ops and one sad_calls.
 std::int64_t sad_16x16(const video::Plane& cur, int cx, int cy,
                        const video::Plane& ref, int rx, int ry,
                        energy::OpCounters& ops);
 
 /// SAD with early termination: stops (returning a value >= `cutoff`) once
-/// the partial sum exceeds `cutoff`. Meters only the pixels actually read.
+/// the partial sum exceeds `cutoff`. Meters only the pixels actually read,
+/// one sad_calls, and one sad_early_exits if it stopped before row 16.
 std::int64_t sad_16x16_cutoff(const video::Plane& cur, int cx, int cy,
                               const video::Plane& ref, int rx, int ry,
                               std::int64_t cutoff, energy::OpCounters& ops);

@@ -45,6 +45,11 @@ class CorrectnessMatrix {
   /// trustworthy MB it touches.
   common::Q16 min_over_region(int px, int py, int w = 16, int h = 16) const;
 
+  /// Minimum σ over the MBs [first_col..last_col] x [first_row..last_row],
+  /// each bound clamped to the matrix (min_over_region's clamping).
+  common::Q16 min_over_mbs(int first_col, int first_row, int last_col,
+                           int last_row) const;
+
   /// Resets every entry to 1.0 ("start from an error-free image frame").
   void reset();
 

@@ -37,14 +37,14 @@ bool PbpairPolicy::has_me_penalty() const {
   return config_.use_me_penalty && config_.me_penalty_scale > 0;
 }
 
-std::int64_t PbpairPolicy::me_penalty(int mb_x, int mb_y,
-                                      codec::MotionVector mv) const {
-  // penalty(v) = λ · (1 − σ_min(reference region of v)); mv is half-pel.
-  Q16 sigma_min = matrix_.min_over_region(
-      mb_x * 16 + codec::halfpel_floor(mv.x),
-      mb_y * 16 + codec::halfpel_floor(mv.y), codec::halfpel_span(mv.x),
-      codec::halfpel_span(mv.y));
-  Q16 distrust = common::q16_complement(sigma_min);
+common::Q16 PbpairPolicy::sigma_min(const codec::RefWindow& window) const {
+  return matrix_.min_over_mbs(window.first_col, window.first_row,
+                              window.last_col, window.last_row);
+}
+
+std::int64_t PbpairPolicy::me_penalty(const codec::RefWindow& window) const {
+  // penalty(v) = λ · (1 − σ_min(reference window of v)).
+  Q16 distrust = common::q16_complement(sigma_min(window));
   return (config_.me_penalty_scale * static_cast<std::int64_t>(distrust)) >>
          16;
 }
@@ -80,11 +80,9 @@ void PbpairPolicy::on_frame_encoded(const codec::FrameEncodeInfo& info) {
         const codec::MotionVector mv =
             record.mode == codec::MbMode::kInter ? record.mv
                                                  : codec::MotionVector{};
-        const Q16 sigma_related = matrix_.min_over_region(
-            mx * 16 + codec::halfpel_floor(mv.x),
-            my * 16 + codec::halfpel_floor(mv.y), codec::halfpel_span(mv.x),
-            codec::halfpel_span(mv.y));
-        clean_term = common::q16_mul(not_alpha, sigma_related);
+        const codec::RefWindow related =
+            codec::ref_window(mx, my, mv, matrix_.cols(), matrix_.rows());
+        clean_term = common::q16_mul(not_alpha, sigma_min(related));
       }
       next.set(mx, my, common::q16_add_sat(clean_term, loss_term));
     }

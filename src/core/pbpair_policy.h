@@ -10,11 +10,14 @@
 //     lever, since intra coding stops error propagation.
 //
 //  2. Probability-aware motion estimation (§3.1.2, Fig. 3): inter MBs pick
-//     their vector by cost SAD(v) + λ·(1 − σ_min(reference region of v)),
+//     their vector by cost SAD(v) + λ·(1 − σ_min(reference window of v)),
 //     so a low-SAD candidate inside likely-damaged reference area loses to
-//     a slightly-worse candidate from trustworthy area. (The paper defers
-//     the exact formula to tech report [15], which is not public; this
-//     linear-penalty form matches the stated intent — see DESIGN.md §2.)
+//     a slightly-worse candidate from trustworthy area. The window is the
+//     set of MBs v's reference block overlaps (codec::ref_window), the
+//     same "related MBs" Formula (1) below takes its min over. (The paper
+//     defers the exact formula to tech report [15], which is not public;
+//     this linear-penalty form matches the stated intent — see DESIGN.md
+//     §2.)
 //
 //  3. Correctness update AFTER the frame (§3.1.3):
 //       inter: σ^k = (1−α)·min(σ^{k-1} of related MBs) + α·sim·σ^{k-1}  (1)
@@ -65,8 +68,7 @@ class PbpairPolicy final : public codec::RefreshPolicy {
   const char* name() const override { return "PBPAIR"; }
 
   bool force_intra_pre_me(int frame_index, int mb_x, int mb_y) override;
-  std::int64_t me_penalty(int mb_x, int mb_y,
-                          codec::MotionVector mv) const override;
+  std::int64_t me_penalty(const codec::RefWindow& window) const override;
   bool has_me_penalty() const override;
   void on_frame_encoded(const codec::FrameEncodeInfo& info) override;
   void reset() override;
@@ -83,6 +85,9 @@ class PbpairPolicy final : public codec::RefreshPolicy {
   const CorrectnessMatrix& matrix() const { return matrix_; }
 
  private:
+  /// min(σ^{k-1}) over the MBs of `window`.
+  common::Q16 sigma_min(const codec::RefWindow& window) const;
+
   PbpairConfig config_;
   common::Q16 intra_th_q16_;
   common::Q16 alpha_q16_;

@@ -19,6 +19,12 @@ struct OpCounters {
   std::uint64_t sad_pixel_ops = 0;
   std::uint64_t sad_halfpel_ops = 0;  // interpolated |a-b| accumulates
   std::uint64_t me_invocations = 0;   // MBs for which a search actually ran
+  // Calls of the metered 16x16 SADs (sad_16x16, sad_16x16_cutoff and the
+  // batched scorer's full-SAD replays) and the cutoff calls that stopped
+  // before row 16. Observability only: the energy model does not read
+  // them (sad_pixel_ops already prices the work).
+  std::uint64_t sad_calls = 0;
+  std::uint64_t sad_early_exits = 0;
 
   // Transform path (8x8 blocks; a macroblock is 6 blocks in 4:2:0).
   std::uint64_t dct_blocks = 0;
@@ -45,6 +51,8 @@ struct OpCounters {
     sad_pixel_ops += other.sad_pixel_ops;
     sad_halfpel_ops += other.sad_halfpel_ops;
     me_invocations += other.me_invocations;
+    sad_calls += other.sad_calls;
+    sad_early_exits += other.sad_early_exits;
     dct_blocks += other.dct_blocks;
     idct_blocks += other.idct_blocks;
     quant_coeffs += other.quant_coeffs;

@@ -12,17 +12,24 @@ namespace {
 TEST(OpCounters, AccumulateAndReset) {
   OpCounters a;
   a.sad_pixel_ops = 100;
+  a.sad_calls = 7;
   a.dct_blocks = 5;
   a.intra_mbs = 2;
   OpCounters b;
   b.sad_pixel_ops = 50;
+  b.sad_calls = 4;
+  b.sad_early_exits = 3;
   b.inter_mbs = 3;
   a += b;
   EXPECT_EQ(a.sad_pixel_ops, 150u);
+  EXPECT_EQ(a.sad_calls, 11u);
+  EXPECT_EQ(a.sad_early_exits, 3u);
   EXPECT_EQ(a.dct_blocks, 5u);
   EXPECT_EQ(a.total_mbs(), 5u);
   a.reset();
   EXPECT_EQ(a.sad_pixel_ops, 0u);
+  EXPECT_EQ(a.sad_calls, 0u);
+  EXPECT_EQ(a.sad_early_exits, 0u);
   EXPECT_EQ(a.total_mbs(), 0u);
 }
 
@@ -30,6 +37,15 @@ TEST(EnergyModel, ZeroOpsZeroEnergy) {
   OpCounters ops;
   EnergyBreakdown e = encode_energy(ops, ipaq_h5555());
   EXPECT_DOUBLE_EQ(e.total_j(), 0.0);
+}
+
+TEST(EnergyModel, SadCallCountsCostNothing) {
+  // sad_calls / sad_early_exits are observability counts; the pixel ops
+  // they accompany already carry the energy.
+  OpCounters ops;
+  ops.sad_calls = 1000;
+  ops.sad_early_exits = 900;
+  EXPECT_DOUBLE_EQ(encode_energy(ops, ipaq_h5555()).total_j(), 0.0);
 }
 
 TEST(EnergyModel, BreakdownSumsToTotal) {

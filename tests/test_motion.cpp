@@ -2,6 +2,8 @@
 // penalty that PBPAIR uses — the Fig. 3 scenario).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "codec/motion_search.h"
 #include "codec/sad.h"
 #include "common/rng.h"
@@ -37,6 +39,8 @@ TEST(Sad, IdenticalBlocksGiveZero) {
   energy::OpCounters ops;
   EXPECT_EQ(sad_16x16(plane, 16, 16, plane, 16, 16, ops), 0);
   EXPECT_EQ(ops.sad_pixel_ops, 256u);
+  EXPECT_EQ(ops.sad_calls, 1u);
+  EXPECT_EQ(ops.sad_early_exits, 0u);
 }
 
 TEST(Sad, KnownDifference) {
@@ -53,6 +57,8 @@ TEST(Sad, CutoffStopsEarlyAndMetersLess) {
   std::int64_t sad = sad_16x16_cutoff(a, 0, 0, b, 0, 0, /*cutoff=*/1000, ops);
   EXPECT_GE(sad, 1000);
   EXPECT_LT(ops.sad_pixel_ops, 256u);  // terminated before the full block
+  EXPECT_EQ(ops.sad_calls, 1u);
+  EXPECT_EQ(ops.sad_early_exits, 1u);
 }
 
 TEST(Sad, CutoffExactWhenUnderCutoff) {
@@ -62,6 +68,8 @@ TEST(Sad, CutoffExactWhenUnderCutoff) {
   std::int64_t exact = sad_16x16(a, 0, 0, b, 0, 0, ops1);
   std::int64_t cut = sad_16x16_cutoff(a, 0, 0, b, 0, 0, exact + 1, ops2);
   EXPECT_EQ(cut, exact);
+  EXPECT_EQ(ops2.sad_calls, 1u);
+  EXPECT_EQ(ops2.sad_early_exits, 0u);  // completed all 16 rows
 }
 
 TEST(Sad, SelfDeviationOfFlatBlockIsZero) {
@@ -167,11 +175,13 @@ TEST(MotionSearch, PenaltySteersAwayFromDamagedRegion) {
   MotionResult pure = search_motion(cur, ref, 5, 4, config, nullptr, ops);
   ASSERT_EQ(pure.mv, MotionVector::from_pixels(4, 0));
 
-  // Penalty declares everything with mv.x > 0 damaged (huge cost).
-  MePenaltyFn penalty = [](int, int, MotionVector mv) -> std::int64_t {
-    return mv.x > 0 ? 1'000'000 : 0;
+  // Penalty declares every window reaching into MB column 6 damaged (huge
+  // cost): for MB (5,4) those are exactly the candidates with mv.x > 0.
+  MePenaltyFn penalty = [](const RefWindow& w) -> std::int64_t {
+    return w.last_col > 5 ? 1'000'000 : 0;
   };
   MotionResult steered = search_motion(cur, ref, 5, 4, config, penalty, ops);
+  EXPECT_LE(ref_window(5, 4, steered.mv, 11, 9).last_col, 5);
   EXPECT_LE(steered.mv.x, 0);
   EXPECT_GT(steered.sad, 0);       // gave up the perfect match...
   EXPECT_LT(steered.cost, 1'000'000);  // ...to avoid the damaged region
@@ -184,12 +194,48 @@ TEST(MotionSearch, PenaltyTiebreakPrefersTrustedRegion) {
   MotionSearchConfig config;
   config.strategy = SearchStrategy::kFullSearch;
   config.range = 2;
-  MePenaltyFn penalty = [](int, int, MotionVector mv) -> std::int64_t {
-    // Only one pixel to the left is trusted (half-pel units: (-2, 0)).
-    return mv == MotionVector::from_pixels(-1, 0) ? 0 : 100;
+  // Only the window one MB column to the left (MB columns 4..5 of row 4,
+  // reached by the candidates that move left and not vertically) is
+  // trusted.
+  const RefWindow trusted{4, 4, 5, 4};
+  MePenaltyFn penalty = [&](const RefWindow& w) -> std::int64_t {
+    return w == trusted ? 0 : 100;
   };
   MotionResult result = search_motion(flat, flat, 5, 4, config, penalty, ops);
-  EXPECT_EQ(result.mv, MotionVector::from_pixels(-1, 0));
+  EXPECT_EQ(ref_window(5, 4, result.mv, 11, 9), trusted);
+  EXPECT_EQ(result.cost, 0);
+}
+
+TEST(MotionSearch, PenaltyHookRunsOncePerWindow) {
+  // A ±15 search with half-pel refinement visits ~230 candidates but at
+  // most 3x3 reference windows; the hook must see each window once.
+  video::Plane ref = textured_plane(176, 144, 50);
+  video::Plane cur = textured_plane(176, 144, 51);
+  MotionSearchConfig config;
+  config.strategy = SearchStrategy::kFullSearch;
+  config.range = 15;
+  for (int mb_y : {0, 4, 8}) {
+    for (int mb_x : {0, 5, 10}) {
+      std::vector<RefWindow> seen;
+      MePenaltyFn penalty = [&](const RefWindow& w) -> std::int64_t {
+        for (const RefWindow& s : seen) EXPECT_FALSE(s == w);
+        seen.push_back(w);
+        return 4 * (w.first_col + w.last_row);
+      };
+      energy::OpCounters ops;
+      MotionResult result =
+          search_motion(cur, ref, mb_x, mb_y, config, penalty, ops);
+      EXPECT_GT(result.candidates, 200u);
+      EXPECT_GE(seen.size(), 1u);
+      EXPECT_LE(seen.size(), 9u) << "MB " << mb_x << "," << mb_y;
+      for (const RefWindow& w : seen) {
+        EXPECT_GE(w.first_col, 0);
+        EXPECT_LE(w.last_col, 10);
+        EXPECT_GE(w.first_row, 0);
+        EXPECT_LE(w.last_row, 8);
+      }
+    }
+  }
 }
 
 TEST(MotionSearch, MetersCandidateWork) {
@@ -205,6 +251,9 @@ TEST(MotionSearch, MetersCandidateWork) {
   // Early termination means <= 49 * 256 pixel ops but > 0.
   EXPECT_GT(ops.sad_pixel_ops, 256u);
   EXPECT_LE(ops.sad_pixel_ops, 49u * 256u);
+  // Zero penalty: every candidate costs one SAD call (the seed is exact).
+  EXPECT_EQ(ops.sad_calls, 49u);
+  EXPECT_LT(ops.sad_early_exits, 49u);
 }
 
 }  // namespace

@@ -482,6 +482,69 @@ TEST_F(GlobalObs, DeterministicMetricsIdenticalAt1_2_8SweepThreads) {
   obs::Registry::global().reset();
 }
 
+// Values of the per-SAD obs counters before SAD counting moved into
+// OpCounters, and the tasks' encode joules (same on every kernel backend).
+constexpr std::uint64_t kPinnedSadCalls = 797867;
+constexpr std::uint64_t kPinnedSadEarlyExits = 792238;
+constexpr double kPinnedJoules[3] = {0.069159020700000018, 0.069572376300000016,
+                                     0.16021367669999997};
+
+TEST_F(GlobalObs, SadCountersPinnedAndIdenticalAt1_2_8SweepThreads) {
+  // encoder.sad_calls / encoder.sad_early_exits are metered in OpCounters
+  // and published once per frame. After a fixed full-search encode they
+  // must keep the values the per-SAD counters produced, at any thread
+  // count, and equal the OpCounters fields; joules must not move either.
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  std::vector<video::YuvFrame> clip;
+  for (int i = 0; i < 8; ++i) clip.push_back(seq.frame_at(i));
+
+  core::PbpairConfig pbpair;
+  pbpair.intra_th = 0.9;
+  pbpair.plr = 0.10;
+  const std::vector<sim::SchemeSpec> schemes = {
+      sim::SchemeSpec::pbpair(pbpair), sim::SchemeSpec::no_resilience(),
+      sim::SchemeSpec::pbpair(pbpair)};
+  std::vector<sim::SweepTask> tasks;
+  for (const sim::SchemeSpec& scheme : schemes) {
+    sim::SweepTask task;
+    task.scheme = scheme;
+    task.config = small_pipeline_config(static_cast<int>(clip.size()));
+    task.config.encoder.search.strategy = codec::SearchStrategy::kFullSearch;
+    task.config.encoder.search.range = tasks.size() == 2 ? 15 : 7;
+    task.source = [&clip](int i) { return clip[static_cast<std::size_t>(i)]; };
+    task.make_loss = [] {
+      return std::make_unique<net::UniformFrameLoss>(0.10, /*seed=*/2005);
+    };
+    tasks.push_back(std::move(task));
+  }
+
+  ScopedTracing tracing(true);
+  for (int threads : {1, 2, 8}) {
+    obs::Registry::global().reset();
+    sim::SweepOptions options;
+    options.threads = threads;
+    const std::vector<sim::PipelineResult> results =
+        sim::run_parallel_sweep(tasks, options);
+    std::uint64_t ops_calls = 0, ops_exits = 0;
+    for (const sim::PipelineResult& r : results) {
+      ops_calls += r.encoder_ops.sad_calls;
+      ops_exits += r.encoder_ops.sad_early_exits;
+    }
+    const std::uint64_t calls = obs::counter("encoder.sad_calls").value();
+    const std::uint64_t exits = obs::counter("encoder.sad_early_exits").value();
+    EXPECT_EQ(calls, kPinnedSadCalls) << "threads " << threads;
+    EXPECT_EQ(exits, kPinnedSadEarlyExits) << "threads " << threads;
+    EXPECT_EQ(calls, ops_calls) << "threads " << threads;
+    EXPECT_EQ(exits, ops_exits) << "threads " << threads;
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_DOUBLE_EQ(results[0].encode_energy.total_j(), kPinnedJoules[0]);
+    EXPECT_DOUBLE_EQ(results[1].encode_energy.total_j(), kPinnedJoules[1]);
+    EXPECT_DOUBLE_EQ(results[2].encode_energy.total_j(), kPinnedJoules[2]);
+  }
+  obs::Registry::global().reset();
+}
+
 TEST(ObsPipeline, FrameTraceJsonlIsDeterministicAndParses) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kForemanLike);

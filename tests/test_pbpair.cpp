@@ -5,6 +5,9 @@
 #include <cmath>
 
 #include "codec/encoder.h"
+#include "codec/motion_search.h"
+#include "common/math_util.h"
+#include "common/rng.h"
 #include "core/correctness_matrix.h"
 #include "core/pbpair_policy.h"
 #include "core/similarity.h"
@@ -314,7 +317,7 @@ TEST(PbpairPolicy, MePenaltyScalesWithDistrust) {
   PbpairPolicy policy(11, 9, config);
   EXPECT_TRUE(policy.has_me_penalty());
   // Fresh matrix: penalty 0 everywhere.
-  EXPECT_EQ(policy.me_penalty(5, 5, codec::MotionVector{0, 0}), 0);
+  EXPECT_EQ(policy.me_penalty(codec::ref_window(5, 5, {}, 11, 9)), 0);
 
   // Manufacture distrust via an update round, then check monotonicity
   // through the public hook: lower sigma => higher penalty.
@@ -337,8 +340,101 @@ TEST(PbpairPolicy, MePenaltyScalesWithDistrust) {
   info.prev_original = &frame;
   info.ops = &ops;
   low.on_frame_encoded(info);  // all sigma now 0.5
-  std::int64_t penalty = low.me_penalty(5, 5, codec::MotionVector{0, 0});
+  std::int64_t penalty = low.me_penalty(codec::ref_window(5, 5, {}, 11, 9));
   EXPECT_NEAR(static_cast<double>(penalty), 500.0, 5.0);  // λ(1-0.5)
+}
+
+// Drives `policy` through random update rounds (random PLR, modes and
+// vectors, no similarity) so its σ matrix holds many distinct values.
+void randomize_sigma(PbpairPolicy& policy, int mb_cols, int mb_rows,
+                     std::uint64_t seed) {
+  common::Pcg32 rng(seed);
+  video::YuvFrame frame(mb_cols * 16, mb_rows * 16);
+  std::vector<codec::MbEncodeRecord> records(
+      static_cast<std::size_t>(mb_cols) * mb_rows);
+  energy::OpCounters ops;
+  codec::FrameEncodeInfo info;
+  info.mb_cols = mb_cols;
+  info.mb_rows = mb_rows;
+  info.mb_records = &records;
+  info.original = &frame;
+  info.prev_original = &frame;
+  info.ops = &ops;
+  for (int k = 1; k <= 6; ++k) {
+    policy.set_plr(0.05 + 0.4 * rng.next_double());
+    for (auto& r : records) {
+      r.mode = rng.next_bernoulli(0.2) ? codec::MbMode::kIntra
+                                       : codec::MbMode::kInter;
+      r.mv = codec::MotionVector{rng.next_in_range(-40, 40),
+                                 rng.next_in_range(-40, 40)};
+    }
+    info.frame_index = k;
+    policy.on_frame_encoded(info);
+  }
+}
+
+TEST(PbpairPolicy, WindowPenaltyEqualsPerVectorPenalty) {
+  // The search charges each candidate the penalty of its reference window.
+  // For every MB (borders included) and every full- and half-pel candidate
+  // a search may visit, that must equal λ·(1 − σ_min) over the candidate's
+  // 16/17-px reference region, computed from the vector itself.
+  struct Grid {
+    int cols, rows;
+  };
+  for (const Grid grid : {Grid{11, 9}, Grid{3, 2}}) {
+    SCOPED_TRACE(grid.cols);
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(seed);
+      PbpairConfig config = config_with(0.0, 0.1);
+      config.similarity = std::make_shared<const NoSimilarity>();
+      config.me_penalty_scale = 2048 + static_cast<std::int64_t>(seed);
+      PbpairPolicy policy(grid.cols, grid.rows, config);
+      randomize_sigma(policy, grid.cols, grid.rows, seed);
+      const CorrectnessMatrix& m = policy.matrix();
+      ASSERT_GT(m.count_below(kQ16One), grid.cols * grid.rows / 2);
+
+      int hook_calls = 0;
+      codec::MePenaltyFn hook = [&](const codec::RefWindow& w) {
+        ++hook_calls;
+        return policy.me_penalty(w);
+      };
+      for (int range : {7, 15, 31}) {
+        SCOPED_TRACE(range);
+        for (int mb_y = 0; mb_y < grid.rows; ++mb_y) {
+          for (int mb_x = 0; mb_x < grid.cols; ++mb_x) {
+            const int px = mb_x * 16;
+            const int py = mb_y * 16;
+            // The search's full-pel bounds (motion_search.cpp); half-pel
+            // candidates keep their floor inside them.
+            const int min_dx = common::clamp(-range, -px, 0);
+            const int max_dx =
+                common::clamp(range, 0, (grid.cols - 1) * 16 - px);
+            const int min_dy = common::clamp(-range, -py, 0);
+            const int max_dy =
+                common::clamp(range, 0, (grid.rows - 1) * 16 - py);
+            hook_calls = 0;
+            codec::WindowPenalties table(hook, mb_x, mb_y, grid.cols,
+                                         grid.rows, range);
+            int mismatches = 0;
+            for (int y = 2 * min_dy; y <= 2 * max_dy + 1; ++y) {
+              for (int x = 2 * min_dx; x <= 2 * max_dx + 1; ++x) {
+                const codec::MotionVector mv{x, y};
+                const Q16 sigma = m.min_over_region(
+                    px + codec::halfpel_floor(x), py + codec::halfpel_floor(y),
+                    codec::halfpel_span(x), codec::halfpel_span(y));
+                const std::int64_t distrust = common::q16_complement(sigma);
+                const std::int64_t want =
+                    (config.me_penalty_scale * distrust) >> 16;
+                if (table.of(mv) != want) ++mismatches;
+              }
+            }
+            EXPECT_EQ(mismatches, 0) << "MB " << mb_x << "," << mb_y;
+            EXPECT_LE(hook_calls, range <= 15 ? 9 : 49);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PbpairPolicy, MePenaltyCanBeDisabled) {
