@@ -240,6 +240,12 @@ std::vector<KernelTiming> time_all_kernels(const Fixtures& fx) {
       table->add_pred_8x8(pred, 16, fx.ref_block(b), Fixtures::kStride, work);
       sink(pred[0]);
     });
+    slot(KernelId::kMbError16x16) = time_kernel([&](int b) {
+      const codec::kernels::BlockError e = table->mb_error_16x16(
+          fx.cur_block(b), Fixtures::kStride, fx.ref_block(b),
+          Fixtures::kStride, /*threshold=*/20);
+      sink(e.sse + e.bad_pixels);
+    });
   }
   return timings;
 }

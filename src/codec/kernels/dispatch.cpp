@@ -171,6 +171,8 @@ const char* kernel_name(KernelId id) {
       return "sub_pred_8x8";
     case KernelId::kAddPred8x8:
       return "add_pred_8x8";
+    case KernelId::kMbError16x16:
+      return "mb_error_16x16";
     case KernelId::kCount:
       break;
   }

@@ -1,7 +1,8 @@
 // Pixel-kernel dispatch: scalar reference vs SIMD implementations.
 //
 // Every hot inner loop of the codec (SAD — single, batched, and half-pel —
-// DCT/IDCT, quant/dequant, and motion-compensated prediction) is a kernel
+// DCT/IDCT, quant/dequant, and motion-compensated prediction), plus the
+// per-MB quality measurement of the simulation (SSE + bad pixels), is a kernel
 // behind a function-pointer table selected once at startup from the CPU's
 // capabilities (overridable with
 // PBPAIR_KERNELS=scalar|sse2|avx2|avx512|neon|auto).
@@ -56,10 +57,19 @@ enum class KernelId {
   kMcPredict,
   kSubPred8x8,
   kAddPred8x8,
+  kMbError16x16,
   kCount,
 };
 
 inline constexpr int kNumKernels = static_cast<int>(KernelId::kCount);
+
+/// Error of one 16x16 block against another: the sum of squared
+/// differences and the number of pixels with |a - b| > threshold. Both fit
+/// 32 bits (256 * 255^2 < 2^24).
+struct BlockError {
+  std::uint32_t sse = 0;
+  std::uint32_t bad_pixels = 0;
+};
 
 struct KernelTable {
   Backend backend = Backend::kScalar;
@@ -141,6 +151,14 @@ struct KernelTable {
   void (*add_pred_8x8)(std::uint8_t* dst, int dst_stride,
                        const std::uint8_t* pred, int pred_stride,
                        const std::int16_t* residual);
+
+  /// SSE and bad-pixel count of one 16x16 block of `a` against `b`: the
+  /// per-MB form of the paper's two quality metrics (video/metrics.h).
+  /// Every int threshold is valid: below 0 every pixel is bad, at 255 or
+  /// above none is.
+  BlockError (*mb_error_16x16)(const std::uint8_t* a, int a_stride,
+                               const std::uint8_t* b, int b_stride,
+                               int threshold);
 
   /// origin[i]: the backend whose implementation fills kernel slot i. A
   /// slot whose origin differs from `backend` is a fallback (e.g. SSE2

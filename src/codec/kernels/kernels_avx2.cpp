@@ -384,6 +384,8 @@ const KernelTable* avx2_table_or_null() {
     adopt(KernelId::kSubPred8x8);
     t.add_pred_8x8 = &add_pred_8x8_128;
     adopt(KernelId::kAddPred8x8);
+    t.mb_error_16x16 = &mb_error_16x16_128;
+    adopt(KernelId::kMbError16x16);
     return t;
   }();
   return &table;

@@ -3,11 +3,12 @@
 // this table out after a runtime CPUID check for all four extensions.
 //
 // The 512-bit wins here are the batched-SAD wavefront kernels (four 16-byte
-// candidate rows per VPSADBW) and quant/dequant (16 int32 lanes per op with
-// mask-register sign handling instead of VPSIGND). The DCT, half-pel, and
-// single-SAD kernels inherit the AVX2 implementations — recorded as such in
-// the per-kernel origin — because 8x8 transforms and row-at-a-time cutoff
-// loops don't widen profitably past 256 bits.
+// candidate rows per VPSADBW), quant/dequant (16 int32 lanes per op with
+// mask-register sign handling instead of VPSIGND) and the per-MB error
+// kernel (four rows per op, bad pixels counted from a compare mask). The
+// DCT, half-pel, and single-SAD kernels inherit the AVX2 implementations —
+// recorded as such in the per-kernel origin — because 8x8 transforms and
+// row-at-a-time cutoff loops don't widen profitably past 256 bits.
 #include "codec/kernels/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
@@ -89,6 +90,49 @@ void sad_16x16_x8_avx512(const std::uint8_t* cur, int cur_stride,
   }
   store_sads_x4(acc_lo, sads);
   store_sads_x4(acc_hi, sads + 4);
+}
+
+// ---------------------------------------------------------------------------
+// Per-MB error: four rows per zmm; the bad-pixel compare lands in a mask
+// register and is counted with POPCNT.
+// ---------------------------------------------------------------------------
+
+inline __m512i load_rows4(const std::uint8_t* base, int stride, int y) {
+  const std::ptrdiff_t s = stride;
+  const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(y) * s;
+  __m512i r = _mm512_castsi128_si512(load_row128(base, off));
+  r = _mm512_inserti32x4(r, load_row128(base, off + s), 1);
+  r = _mm512_inserti32x4(r, load_row128(base, off + 2 * s), 2);
+  return _mm512_inserti32x4(r, load_row128(base, off + 3 * s), 3);
+}
+
+// Same arithmetic as mb_error_16x16_128 (kernels_x86_128.inl): |d| from
+// two saturating subtracts, squares through VPMADDWD into int32 lanes
+// that gather at most 16 squares each.
+BlockError mb_error_16x16_avx512(const std::uint8_t* a, int a_stride,
+                                 const std::uint8_t* b, int b_stride,
+                                 int threshold) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i vt = _mm512_set1_epi8(static_cast<char>(
+      threshold < 0 ? 0 : (threshold > 255 ? 255 : threshold)));
+  __m512i sse = zero;
+  std::uint32_t bad = 0;
+  for (int y = 0; y < 16; y += 4) {
+    const __m512i va = load_rows4(a, a_stride, y);
+    const __m512i vb = load_rows4(b, b_stride, y);
+    const __m512i d =
+        _mm512_or_si512(_mm512_subs_epu8(va, vb), _mm512_subs_epu8(vb, va));
+    const __m512i lo = _mm512_unpacklo_epi8(d, zero);
+    const __m512i hi = _mm512_unpackhi_epi8(d, zero);
+    sse = _mm512_add_epi32(sse, _mm512_add_epi32(_mm512_madd_epi16(lo, lo),
+                                                 _mm512_madd_epi16(hi, hi)));
+    bad += static_cast<std::uint32_t>(
+        __builtin_popcountll(_mm512_cmpgt_epu8_mask(d, vt)));
+  }
+  BlockError error;
+  error.sse = static_cast<std::uint32_t>(_mm512_reduce_add_epi32(sse));
+  error.bad_pixels = threshold < 0 ? 256u : bad;
+  return error;
 }
 
 // ---------------------------------------------------------------------------
@@ -174,6 +218,8 @@ const KernelTable* avx512_table_or_null() {
     adopt(KernelId::kQuantizeAc);
     t.dequantize_ac = &dequantize_ac_avx512;
     adopt(KernelId::kDequantizeAc);
+    t.mb_error_16x16 = &mb_error_16x16_avx512;
+    adopt(KernelId::kMbError16x16);
     return t;
   }();
   return &table;

@@ -16,6 +16,8 @@
 //    finish uses the identical int32 rounding identity.
 //  - Quant: the magic-multiply exact-division trick from the AVX2 kernel
 //    (proof there); products fit int32 for every codec input.
+//  - Per-MB error: integer-only (VABD, VMULL, VCGT), so exact by
+//    construction.
 #include "codec/kernels/kernels.h"
 
 #if defined(__aarch64__)
@@ -249,6 +251,36 @@ void add_pred_8x8_neon(std::uint8_t* dst, int dst_stride,
 }
 
 // ---------------------------------------------------------------------------
+// Per-MB error: SSE + bad-pixel count in one pass
+// ---------------------------------------------------------------------------
+
+// VABD gives |d| exactly; VMULL squares it into u16 lanes (255^2 fits) and
+// VPADAL folds pairs into u32 lanes. VCGT yields 0xFF (== -1) per bad
+// lane, so subtracting it counts; a byte lane counts at most 16 rows.
+// Thresholds are clamped to [0, 255] for the byte compare; below 0 every
+// pixel is bad.
+BlockError mb_error_16x16_neon(const std::uint8_t* a, int a_stride,
+                               const std::uint8_t* b, int b_stride,
+                               int threshold) {
+  const uint8x16_t vt = vdupq_n_u8(static_cast<std::uint8_t>(
+      threshold < 0 ? 0 : (threshold > 255 ? 255 : threshold)));
+  uint32x4_t sse = vdupq_n_u32(0);
+  uint8x16_t bad = vdupq_n_u8(0);
+  for (int y = 0; y < 16; ++y) {
+    uint8x16_t va = vld1q_u8(a + static_cast<std::ptrdiff_t>(y) * a_stride);
+    uint8x16_t vb = vld1q_u8(b + static_cast<std::ptrdiff_t>(y) * b_stride);
+    uint8x16_t d = vabdq_u8(va, vb);
+    sse = vpadalq_u16(sse, vmull_u8(vget_low_u8(d), vget_low_u8(d)));
+    sse = vpadalq_u16(sse, vmull_high_u8(d, d));
+    bad = vsubq_u8(bad, vcgtq_u8(d, vt));
+  }
+  BlockError error;
+  error.sse = vaddvq_u32(sse);
+  error.bad_pixels = threshold < 0 ? 256u : vaddlvq_u8(bad);
+  return error;
+}
+
+// ---------------------------------------------------------------------------
 // DCT / IDCT via widening multiply-accumulate (VMLAL.S16)
 // ---------------------------------------------------------------------------
 
@@ -445,6 +477,7 @@ const KernelTable* neon_table_or_null() {
     t.mc_predict = &mc_predict_neon;
     t.sub_pred_8x8 = &sub_pred_8x8_neon;
     t.add_pred_8x8 = &add_pred_8x8_neon;
+    t.mb_error_16x16 = &mb_error_16x16_neon;
     return t;
   }();
   return &table;

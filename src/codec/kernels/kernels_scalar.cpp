@@ -165,6 +165,22 @@ void add_pred_8x8_scalar(std::uint8_t* dst, int dst_stride,
   }
 }
 
+BlockError mb_error_16x16_scalar(const std::uint8_t* a, int a_stride,
+                                 const std::uint8_t* b, int b_stride,
+                                 int threshold) {
+  BlockError error;
+  for (int y = 0; y < 16; ++y) {
+    const std::uint8_t* arow = a + static_cast<std::ptrdiff_t>(y) * a_stride;
+    const std::uint8_t* brow = b + static_cast<std::ptrdiff_t>(y) * b_stride;
+    for (int x = 0; x < 16; ++x) {
+      const int d = static_cast<int>(arow[x]) - static_cast<int>(brow[x]);
+      error.sse += static_cast<std::uint32_t>(d * d);
+      if (common::iabs(d) > threshold) ++error.bad_pixels;
+    }
+  }
+  return error;
+}
+
 void forward_dct_8x8_scalar(const std::int16_t* input, std::int16_t* output) {
   // Pass 1 (columns): tmp[u][y] = sum_x B[u][x] * in[x][y].
   std::int32_t tmp[64];
@@ -251,6 +267,7 @@ KernelTable make_scalar_table() {
   t.mc_predict = &mc_predict_scalar;
   t.sub_pred_8x8 = &sub_pred_8x8_scalar;
   t.add_pred_8x8 = &add_pred_8x8_scalar;
+  t.mb_error_16x16 = &mb_error_16x16_scalar;
   for (int i = 0; i < kNumKernels; ++i) t.origin[i] = Backend::kScalar;
   return t;
 }

@@ -282,6 +282,44 @@ void halfpel_refine(const SearchContext& ctx, MotionResult& best) {
   }
 }
 
+// Window-axis classes. Along one axis, a candidate's window is
+// [clamp(mb + a), clamp(mb + b)] with a = floor(f / 16) in [−2, 1] and
+// b in [−1, 2] (f the component's floor in pixels, within ±31), clamped to
+// the grid. The clamps depend on the MB only through its distance to each
+// grid edge, capped at 2. So one compile-time table, indexed by those two
+// capped distances and the half-pel component, serves every MB, grid and
+// range, and no search or encoder builds anything per MB.
+struct AxisClassTable {
+  static constexpr int kOrigin = 64;  // components in [−62, 63]
+  std::uint8_t cls[3][3][2 * kOrigin] = {};
+};
+
+constexpr AxisClassTable make_axis_class_table() {
+  AxisClassTable table;
+  for (int left = 0; left <= 2; ++left) {
+    for (int right = 0; right <= 2; ++right) {
+      // A one-row grid with `left` MBs before the MB and `right` after it.
+      for (int v = -2 * 31; v <= 2 * 31 + 1; ++v) {
+        const RefWindow w = ref_window(left, 0, {v, 0}, left + right + 1, 1);
+        table.cls[left][right][v + AxisClassTable::kOrigin] =
+            static_cast<std::uint8_t>((w.first_col - left + 2) * 2 +
+                                      (w.last_col - w.first_col));
+      }
+    }
+  }
+  return table;
+}
+
+constexpr AxisClassTable kAxisClassTable = make_axis_class_table();
+
+// Classes of the MB at index `mb` of an axis `count` MBs long, indexed by
+// the half-pel component.
+const std::uint8_t* axis_classes(int mb, int count) {
+  const int left = mb < 2 ? mb : 2;
+  const int right = count - 1 - mb < 2 ? count - 1 - mb : 2;
+  return kAxisClassTable.cls[left][right] + AxisClassTable::kOrigin;
+}
+
 }  // namespace
 
 WindowPenalties::WindowPenalties(const MePenaltyFn& penalty, int mb_x, int mb_y,
@@ -293,18 +331,8 @@ WindowPenalties::WindowPenalties(const MePenaltyFn& penalty, int mb_x, int mb_y,
       range_(range) {
   PB_CHECK(range >= 0 && range <= 31);
   if (!enabled_) return;
-  auto axis_class = [](int first, int last, int mb) {
-    const int cls = (first - mb + 2) * 2 + (last - first);
-    PB_DCHECK(cls >= 0 && cls < kAxisClasses);
-    return static_cast<std::uint8_t>(cls);
-  };
-  // Every half-pel component whose floor lies within ±range pixels.
-  for (int v = -2 * range; v <= 2 * range + 1; ++v) {
-    const RefWindow wx = ref_window(mb_x, mb_y, {v, 0}, mb_cols, mb_rows);
-    const RefWindow wy = ref_window(mb_x, mb_y, {0, v}, mb_cols, mb_rows);
-    axis_x_[v + kAxisOrigin] = axis_class(wx.first_col, wx.last_col, mb_x);
-    axis_y_[v + kAxisOrigin] = axis_class(wy.first_row, wy.last_row, mb_y);
-  }
+  axis_x_ = axis_classes(mb_x, mb_cols);
+  axis_y_ = axis_classes(mb_y, mb_rows);
 }
 
 RefWindow WindowPenalties::window_of(int key) const {

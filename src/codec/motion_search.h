@@ -72,8 +72,7 @@ class WindowPenalties {
     if (!enabled_) return 0;
     PB_DCHECK(mv.x >= -2 * range_ && mv.x <= 2 * range_ + 1 &&
               mv.y >= -2 * range_ && mv.y <= 2 * range_ + 1);
-    const int key = axis_x_[mv.x + kAxisOrigin] * kAxisClasses +
-                    axis_y_[mv.y + kAxisOrigin];
+    const int key = axis_x_[mv.x] * kAxisClasses + axis_y_[mv.y];
     if (!filled_[key]) {
       value_[key] = penalty_(window_of(key));
       filled_[key] = true;
@@ -85,9 +84,6 @@ class WindowPenalties {
   // One axis of a window is (first − mb, last − first): first − mb lies in
   // [−2, 1] and last − first in {0, 1} for floors within ±31 px.
   static constexpr int kAxisClasses = 8;
-  // axis_*_ index: half-pel component + kAxisOrigin, for components in
-  // [−62, 63].
-  static constexpr int kAxisOrigin = 64;
 
   RefWindow window_of(int key) const;
 
@@ -96,8 +92,10 @@ class WindowPenalties {
   int mb_x_;
   int mb_y_;
   int range_;
-  std::uint8_t axis_x_[2 * kAxisOrigin];
-  std::uint8_t axis_y_[2 * kAxisOrigin];
+  // Axis classes of this MB's column and row, indexed by the half-pel
+  // component itself (motion_search.cpp).
+  const std::uint8_t* axis_x_ = nullptr;
+  const std::uint8_t* axis_y_ = nullptr;
   bool filled_[kAxisClasses * kAxisClasses] = {};
   std::int64_t value_[kAxisClasses * kAxisClasses];
 };

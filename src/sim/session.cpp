@@ -284,9 +284,14 @@ void StreamSession::init() {
                  ? static_cast<std::size_t>(ctx.media_packets_sent)
                  : ctx.packets.size();
          trace.lost = ctx.delivered.size() != media_sent;
-         trace.psnr_db = video::psnr_luma(ctx.original, *ctx.output);
-         trace.bad_pixels = video::bad_pixel_count(
-             ctx.original, *ctx.output, s.config_.bad_pixel_threshold);
+         // One pass over the luma MB grid yields both quality metrics;
+         // the totals equal video::sse_luma / bad_pixel_count exactly.
+         const codec::FrameError error = codec::luma_mb_errors(
+             ctx.original, *ctx.output, s.config_.bad_pixel_threshold,
+             &s.mb_errors_);
+         trace.psnr_db = video::psnr_from_sse(
+             error.sse, ctx.original.width(), ctx.original.height());
+         trace.bad_pixels = error.bad_pixels;
        }});
 }
 

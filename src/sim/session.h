@@ -24,6 +24,7 @@
 #include <fstream>
 #include <optional>
 
+#include "codec/mb_error.h"
 #include "net/feedback.h"
 #include "sim/pipeline.h"
 
@@ -123,6 +124,9 @@ class StreamSession {
   const net::WireStats& wire_stats() const { return wire_stats_; }
   const PipelineConfig& config() const { return config_; }
   const SchemeSpec& scheme() const { return scheme_; }
+  /// Per-MB luma error of the last measured frame (decoder output vs
+  /// original, raster order), written by the "measure" stage.
+  const std::vector<codec::MbError>& mb_errors() const { return mb_errors_; }
   const std::string& label() const { return label_; }
 
  private:
@@ -170,6 +174,8 @@ class StreamSession {
 
   std::vector<FrameStage> stages_;
   std::unique_ptr<std::ofstream> frame_trace_out_;
+  // The "measure" stage's per-MB buffer, reused every frame.
+  std::vector<codec::MbError> mb_errors_;
 
   // Live telemetry (config_.health / per-session obs counters). The
   // energy trackers attribute each frame's analytic joules incrementally

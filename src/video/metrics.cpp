@@ -30,7 +30,13 @@ double mse_luma(const YuvFrame& a, const YuvFrame& b) {
 }
 
 double psnr_luma(const YuvFrame& a, const YuvFrame& b, double cap_db) {
-  double mse = mse_luma(a, b);
+  return psnr_from_sse(sse_luma(a, b), a.width(), a.height(), cap_db);
+}
+
+double psnr_from_sse(std::uint64_t sse, int width, int height,
+                     double cap_db) {
+  double n = static_cast<double>(width) * height;
+  double mse = static_cast<double>(sse) / n;
   if (mse <= 0.0) return cap_db;
   double psnr = 10.0 * std::log10(255.0 * 255.0 / mse);
   return psnr > cap_db ? cap_db : psnr;

@@ -29,6 +29,11 @@ double mse_luma(const YuvFrame& a, const YuvFrame& b);
 /// rather than infinity so averages stay finite.
 double psnr_luma(const YuvFrame& a, const YuvFrame& b, double cap_db = 99.0);
 
+/// psnr_luma() of a width x height luma plane whose SSE is already known
+/// (codec/mb_error.h computes it per MB). The same arithmetic, bit for bit.
+double psnr_from_sse(std::uint64_t sse, int width, int height,
+                     double cap_db = 99.0);
+
 /// Number of luma pixels differing by more than `threshold`.
 std::uint64_t bad_pixel_count(const YuvFrame& a, const YuvFrame& b,
                               int threshold = kDefaultBadPixelThreshold);

@@ -5,16 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "codec/encoder.h"
 #include "codec/kernels/kernels.h"
+#include "codec/mb_error.h"
 #include "codec/mc.h"
 #include "codec/quant.h"
 #include "codec/sad.h"
 #include "common/rng.h"
 #include "sim/scheme.h"
 #include "video/frame.h"
+#include "video/metrics.h"
 #include "video/sequence.h"
 
 namespace pbpair {
@@ -283,6 +287,166 @@ TEST(Kernels, ResidualKernelsMatchScalar) {
       }
     }
   }
+}
+
+bool same_error(const codec::kernels::BlockError& a,
+                const codec::kernels::BlockError& b) {
+  return a.sse == b.sse && a.bad_pixels == b.bad_pixels;
+}
+
+// The fused per-MB error kernel: SSE and the "|a - b| > threshold" count
+// on random blocks at every alignment, and on the blocks where a vector
+// square or byte compare could go wrong.
+TEST(Kernels, MbErrorMatchesScalarOnRandomAndEdgeBlocks) {
+  const KernelTable& scalar = codec::kernels::scalar_table();
+  PixelField a(93), b(94);
+  common::Pcg32 rng(95);
+  const int kThresholds[] = {0, 20, 254};
+  for (const KernelTable* simd : simd_tables()) {
+    for (int trial = 0; trial < 500; ++trial) {
+      const int ax = rng.next_in_range(0, a.stride - 16);
+      const int ay = rng.next_in_range(0, a.rows - 16);
+      const int bx = rng.next_in_range(0, b.stride - 16);
+      const int by = rng.next_in_range(0, b.rows - 16);
+      const int random_t = rng.next_in_range(-3, 258);
+      for (int t : {kThresholds[0], kThresholds[1], kThresholds[2],
+                    random_t}) {
+        ASSERT_TRUE(same_error(
+            scalar.mb_error_16x16(a.at(ax, ay), a.stride, b.at(bx, by),
+                                  b.stride, t),
+            simd->mb_error_16x16(a.at(ax, ay), a.stride, b.at(bx, by),
+                                 b.stride, t)))
+            << simd->name << " threshold " << t << " trial " << trial;
+      }
+    }
+  }
+
+  // Edge blocks (stride 16). Each one is checked against known values on
+  // the scalar reference, then every backend against scalar.
+  std::uint8_t x[256], y[256];
+  auto expect_block = [&](const char* what, int t, std::uint32_t sse,
+                          std::uint32_t bad) {
+    const codec::kernels::BlockError want =
+        scalar.mb_error_16x16(x, 16, y, 16, t);
+    EXPECT_EQ(want.sse, sse) << what << " threshold " << t;
+    EXPECT_EQ(want.bad_pixels, bad) << what << " threshold " << t;
+    for (const KernelTable* simd : simd_tables()) {
+      EXPECT_TRUE(same_error(want, simd->mb_error_16x16(x, 16, y, 16, t)))
+          << simd->name << " " << what << " threshold " << t;
+      EXPECT_TRUE(same_error(scalar.mb_error_16x16(y, 16, x, 16, t),
+                             simd->mb_error_16x16(y, 16, x, 16, t)))
+          << simd->name << " " << what << " (swapped) threshold " << t;
+    }
+  };
+  for (int t : kThresholds) {
+    for (std::uint8_t& p : x) {
+      p = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    std::memcpy(y, x, sizeof(x));
+    expect_block("identical", t, 0, 0);
+
+    std::memset(x, 0, sizeof(x));
+    std::memset(y, 255, sizeof(y));
+    expect_block("0 vs 255", t, 256u * 255u * 255u, 256);
+
+    // Half the pixels differ by exactly t (not bad), half by t + 1 (bad),
+    // in both directions.
+    std::uint32_t sse = 0;
+    for (int i = 0; i < 256; ++i) {
+      const int d = i % 2 == 0 ? t : t + 1;
+      const int base = rng.next_in_range(0, 255 - d);
+      x[i] = static_cast<std::uint8_t>(i % 4 < 2 ? base : base + d);
+      y[i] = static_cast<std::uint8_t>(i % 4 < 2 ? base + d : base);
+      sse += static_cast<std::uint32_t>(d * d);
+    }
+    expect_block("|d| at t and t+1", t, sse, 128);
+  }
+}
+
+// PipelineConfig::bad_pixel_threshold accepts any int, so the vector
+// "> threshold" compare must agree with the scalar loop everywhere: below
+// 0 (every pixel bad), across [0, 255], and far beyond in both directions.
+TEST(Kernels, MbErrorThresholdCompareMatchesScalarForAnyThreshold) {
+  const KernelTable& scalar = codec::kernels::scalar_table();
+  // Every |d| in 0..255 once, scattered over the lanes.
+  std::uint8_t x[256], y[256];
+  for (int i = 0; i < 256; ++i) {
+    x[i] = static_cast<std::uint8_t>(i);
+    y[i] = 0;
+  }
+  common::Pcg32 rng(96);
+  for (int i = 255; i > 0; --i) {
+    std::swap(x[i], x[rng.next_in_range(0, i)]);
+  }
+  std::vector<int> thresholds = {std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::min() + 1,
+                                 std::numeric_limits<int>::max() - 1,
+                                 std::numeric_limits<int>::max()};
+  for (int t = -1000; t <= 1000; ++t) thresholds.push_back(t);
+  for (int t : thresholds) {
+    const std::uint32_t bad = t < 0 ? 256u : (t >= 255 ? 0u : 255u - t);
+    EXPECT_EQ(scalar.mb_error_16x16(x, 16, y, 16, t).bad_pixels, bad)
+        << "threshold " << t;
+    for (const KernelTable* simd : simd_tables()) {
+      ASSERT_TRUE(same_error(scalar.mb_error_16x16(x, 16, y, 16, t),
+                             simd->mb_error_16x16(x, 16, y, 16, t)))
+          << simd->name << " threshold " << t;
+      ASSERT_TRUE(same_error(scalar.mb_error_16x16(y, 16, x, 16, t),
+                             simd->mb_error_16x16(y, 16, x, 16, t)))
+          << simd->name << " (swapped) threshold " << t;
+    }
+  }
+}
+
+// The MB-grid wrapper: its totals are the scalar frame metrics and each
+// MB entry is the scalar kernel on that block, under every backend; the
+// caller's buffer is reused, not reallocated.
+TEST(Kernels, MbErrorWrapperMatchesFrameMetricsAndPerBlockReference) {
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  const video::YuvFrame a = seq.frame_at(0);
+  video::YuvFrame b = seq.frame_at(4);
+  // A few identical MBs and a few saturated ones next to the natural
+  // motion differences.
+  common::Pcg32 rng(97);
+  for (int y = 0; y < 16; ++y) {
+    std::memcpy(b.y().row(y), a.y().row(y), 48);
+    std::memset(b.y().row(64 + y) + 80, 255, 32);
+  }
+  for (int i = 0; i < 500; ++i) {
+    b.y().set(rng.next_in_range(0, b.width() - 1),
+              rng.next_in_range(0, b.height() - 1),
+              static_cast<std::uint8_t>(rng.next_below(256)));
+  }
+  const KernelTable& scalar = codec::kernels::scalar_table();
+  const Backend original = codec::kernels::active_backend();
+  std::vector<codec::MbError> per_mb;
+  for (Backend backend : codec::kernels::supported_backends()) {
+    ASSERT_TRUE(codec::kernels::set_active(backend));
+    for (int t : {-1, 0, 20, 254, 255}) {
+      const codec::FrameError total =
+          codec::luma_mb_errors(a, b, t, &per_mb);
+      EXPECT_EQ(total.sse, video::sse_luma(a, b));
+      EXPECT_EQ(total.bad_pixels, video::bad_pixel_count(a, b, t));
+      ASSERT_EQ(per_mb.size(), static_cast<std::size_t>(a.mb_count()));
+      const codec::MbError* before = per_mb.data();
+      for (int my = 0; my < a.mb_rows(); ++my) {
+        for (int mx = 0; mx < a.mb_cols(); ++mx) {
+          const codec::kernels::BlockError want = scalar.mb_error_16x16(
+              a.y().row(my * 16) + mx * 16, a.width(),
+              b.y().row(my * 16) + mx * 16, b.width(), t);
+          EXPECT_TRUE(
+              same_error(want, per_mb[static_cast<std::size_t>(
+                                   my * a.mb_cols() + mx)]))
+              << codec::kernels::backend_name(backend) << " MB " << mx
+              << "," << my << " threshold " << t;
+        }
+      }
+      codec::luma_mb_errors(a, b, t, &per_mb);
+      EXPECT_EQ(per_mb.data(), before);  // same size: no reallocation
+    }
+  }
+  ASSERT_TRUE(codec::kernels::set_active(original));
 }
 
 // Edge clamping goes through the public MC entry points: vectors that land

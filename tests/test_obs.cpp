@@ -236,7 +236,20 @@ TEST_F(GlobalObs, SnapshotCopiesAllMetricKindsSorted) {
   obs::gauge("snap.ratio").set(0.25);
   obs::histogram("snap.latency_ns").observe(300);
 
+  // The global registry keeps every name an earlier test in this process
+  // registered (reset_all() zeroes values, not names), so look only at this
+  // test's own "snap." metrics.
   obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
+  auto foreign = [](const std::string& name) {
+    return name.rfind("snap.", 0) != 0;
+  };
+  std::erase_if(snap.counters,
+                [&](const auto& entry) { return foreign(entry.first); });
+  std::erase_if(snap.gauges,
+                [&](const auto& entry) { return foreign(entry.first); });
+  std::erase_if(snap.histograms, [&](const obs::HistogramSnapshot& h) {
+    return foreign(h.name);
+  });
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].first, "snap.alpha");  // sorted
   EXPECT_EQ(snap.counters[1].first, "snap.zeta");

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "codec/kernels/kernels.h"
 #include "net/feedback.h"
 #include "net/loss_model.h"
 #include "sim/pipeline.h"
@@ -183,6 +185,47 @@ TEST(StreamSession, ShimMatchesReferenceWithRateControlAndHooks) {
   net::UniformFrameLoss shim_loss(0.10, /*seed=*/7);
   PipelineResult shim = run_pipeline(seq, scheme, &shim_loss, config);
   expect_results_identical(reference.result, shim);
+}
+
+// The "measure" stage computes PSNR and bad pixels from one fused per-MB
+// pass (codec/mb_error.h); on a lossy run, under every kernel backend, its
+// values must equal the scalar reference metrics bit for bit.
+TEST(StreamSession, MeasureStageMatchesScalarMetricsBitForBit) {
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  const codec::kernels::Backend original =
+      codec::kernels::active_backend();
+  for (codec::kernels::Backend backend :
+       codec::kernels::supported_backends()) {
+    ASSERT_TRUE(codec::kernels::set_active(backend));
+    SCOPED_TRACE(codec::kernels::backend_name(backend));
+    PipelineConfig config = short_config(20);
+    config.bad_pixel_threshold = 7;
+    net::UniformFrameLoss loss(0.2, /*seed=*/2005);
+    StreamSession session([&seq](int i) { return seq.frame_at(i); },
+                          SchemeSpec::no_resilience(), &loss, config);
+    int checked = 0;
+    int damaged = 0;
+    auto check = [&](FrameContext& ctx, StreamSession& s) {
+      const double want = video::psnr_luma(ctx.original, *ctx.output);
+      EXPECT_EQ(std::memcmp(&want, &ctx.trace.psnr_db, sizeof(want)), 0)
+          << "frame " << ctx.index;
+      EXPECT_EQ(ctx.trace.bad_pixels,
+                video::bad_pixel_count(ctx.original, *ctx.output, 7));
+      ASSERT_EQ(s.mb_errors().size(),
+                static_cast<std::size_t>(ctx.original.mb_count()));
+      std::uint64_t sse = 0;
+      for (const codec::MbError& e : s.mb_errors()) sse += e.sse;
+      EXPECT_EQ(sse, video::sse_luma(ctx.original, *ctx.output));
+      ++checked;
+      if (ctx.trace.lost) ++damaged;
+    };
+    session.insert_stage_after("measure", {"metrics-check", check});
+    session.run_to_end();
+    EXPECT_EQ(checked, 20);
+    EXPECT_GT(damaged, 0);  // the loss actually reached the metrics
+  }
+  ASSERT_TRUE(codec::kernels::set_active(original));
 }
 
 TEST(StreamSession, StepAdvancesExactlyOneFrame) {

@@ -3,7 +3,8 @@
 // Verifies that every supported backend reproduces the scalar reference
 // bit-for-bit on every kernel in the dispatch table: SAD values, early-exit
 // row counts, batched-SAD lanes, half-pel phases, DCT/IDCT coefficients,
-// quant levels and nonzero counts, MC predictions, and residual blocks.
+// quant levels and nonzero counts, MC predictions, residual blocks, and
+// per-MB error (SSE + bad-pixel count).
 //
 // This is deliberately NOT a gtest binary: it is the smoke test the CI
 // aarch64 cross-compile job runs under qemu-user, where only the standard
@@ -154,6 +155,20 @@ void check_backend(const KernelTable& scalar, const KernelTable& simd) {
     simd.inverse_dct_8x8(block, dct_got);
     if (std::memcmp(dct_want, dct_got, sizeof(dct_want)) != 0) {
       fail(simd.name, "inverse_dct_8x8", trial);
+    }
+
+    // Per-MB error: thresholds on both sides of every clamp boundary.
+    static constexpr int kThresholds[] = {-7, -1, 0, 1, 20, 254, 255, 300};
+    const int t = kThresholds[trial % 8];
+    const codec::kernels::BlockError err_want =
+        scalar.mb_error_16x16(cur.at(cx, cy), kStride, ref.at(rx, ry),
+                              kStride, t);
+    const codec::kernels::BlockError err_got =
+        simd.mb_error_16x16(cur.at(cx, cy), kStride, ref.at(rx, ry),
+                            kStride, t);
+    if (err_want.sse != err_got.sse ||
+        err_want.bad_pixels != err_got.bad_pixels) {
+      fail(simd.name, "mb_error_16x16", trial);
     }
 
     const int qp = codec::kMinQp +
